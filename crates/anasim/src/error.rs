@@ -139,11 +139,11 @@ mod tests {
     #[test]
     fn numerical_hazard_reports_kind_and_time() {
         let err = AnalysisError::Numerical {
-            hazard: linsys::NumericalHazard::Rank1Breakdown,
+            hazard: linsys::NumericalHazard::RefinementStall,
             time: 2e-6,
         };
         let msg = err.to_string();
-        assert!(msg.contains("rank1-breakdown"), "{msg}");
+        assert!(msg.contains("refinement-stall"), "{msg}");
         assert!(msg.contains("2.000e-6"), "{msg}");
     }
 

@@ -184,7 +184,7 @@ impl FlightRecorder {
     pub const MAX_HAZARDS: usize = 32;
 
     /// Records one numerical hazard and the recovery action taken
-    /// (e.g. `rank1-breakdown` → `demote:refactor`). Entries beyond
+    /// (e.g. `refinement-stall` → `demote:refactor`). Entries beyond
     /// [`FlightRecorder::MAX_HAZARDS`] are dropped — the *counters* in
     /// [`SolverMetrics`] stay exact; this trace exists so postmortems
     /// and `experiments explain` can narrate the order of events.
@@ -303,7 +303,7 @@ impl FlightRecorder {
 }
 
 /// The per-solve observer bundle threaded through
-/// [`crate::mna::newton_solve_budgeted`] and the analyses above it.
+/// [`crate::mna::newton_solve`] and the analyses above it.
 ///
 /// Every hook is an optional borrow: a fully disarmed bundle (the
 /// default) costs the solver a few `None` branches per iteration and
@@ -456,7 +456,7 @@ mod tests {
     #[test]
     fn hazard_history_reaches_the_postmortem_and_is_bounded() {
         let flight = FlightRecorder::new(4);
-        flight.record_hazard("rank1-breakdown", "demote:refactor", 1e-6);
+        flight.record_hazard("refinement-stall", "demote:refactor", 1e-6);
         flight.record_hazard("non-finite", "terminal", 2e-6);
         let pm = flight.freeze(
             "t",
@@ -468,7 +468,7 @@ mod tests {
             None,
         );
         assert_eq!(pm.hazards.len(), 2);
-        assert_eq!(pm.hazards[0].hazard, "rank1-breakdown");
+        assert_eq!(pm.hazards[0].hazard, "refinement-stall");
         assert_eq!(pm.hazards[0].action, "demote:refactor");
         assert_eq!(pm.hazards[1].time, 2e-6);
         // The trace is bounded at MAX_HAZARDS even if a solve thrashes.

@@ -26,7 +26,7 @@ use obs::Recorder;
 
 /// Counter names under which [`SolverSnapshot::emit_to`] publishes to a
 /// recorder, in emission order.
-pub const COUNTER_NAMES: [&str; 19] = [
+pub const COUNTER_NAMES: [&str; 18] = [
     "solver.newton_iterations",
     "solver.steps_accepted",
     "solver.steps_rejected",
@@ -37,7 +37,6 @@ pub const COUNTER_NAMES: [&str; 19] = [
     "solver.factor_reuse_misses",
     "solver.hazard.near_singular_pivot",
     "solver.hazard.pivot_growth",
-    "solver.hazard.rank1_breakdown",
     "solver.hazard.nonfinite",
     "solver.hazard.refinement_stall",
     "solver.hazard.ill_conditioned",
@@ -99,7 +98,6 @@ pub struct SolverMetrics {
     factor_reuse_misses: AtomicU64,
     hazard_near_singular_pivot: AtomicU64,
     hazard_pivot_growth: AtomicU64,
-    hazard_rank1_breakdown: AtomicU64,
     hazard_nonfinite: AtomicU64,
     hazard_refinement_stall: AtomicU64,
     hazard_ill_conditioned: AtomicU64,
@@ -183,8 +181,7 @@ impl SolverMetrics {
     }
 
     /// One Newton iteration served by a cached factorisation (a
-    /// modified-Newton stale step, a cached linear solve, or a
-    /// Sherman–Morrison rank-1 application).
+    /// modified-Newton stale step or a cached linear solve).
     #[inline]
     pub fn factor_reuse_hit(&self) {
         self.factor_reuse_hits.fetch_add(1, Ordering::Relaxed);
@@ -205,7 +202,6 @@ impl SolverMetrics {
         let counter = match hazard {
             NumericalHazard::NearSingularPivot => &self.hazard_near_singular_pivot,
             NumericalHazard::PivotGrowth => &self.hazard_pivot_growth,
-            NumericalHazard::Rank1Breakdown => &self.hazard_rank1_breakdown,
             NumericalHazard::NonFinite => &self.hazard_nonfinite,
             NumericalHazard::RefinementStall => &self.hazard_refinement_stall,
             NumericalHazard::IllConditioned => &self.hazard_ill_conditioned,
@@ -264,7 +260,6 @@ impl SolverMetrics {
             factor_reuse_misses: self.factor_reuse_misses.load(Ordering::Relaxed),
             hazard_near_singular_pivot: self.hazard_near_singular_pivot.load(Ordering::Relaxed),
             hazard_pivot_growth: self.hazard_pivot_growth.load(Ordering::Relaxed),
-            hazard_rank1_breakdown: self.hazard_rank1_breakdown.load(Ordering::Relaxed),
             hazard_nonfinite: self.hazard_nonfinite.load(Ordering::Relaxed),
             hazard_refinement_stall: self.hazard_refinement_stall.load(Ordering::Relaxed),
             hazard_ill_conditioned: self.hazard_ill_conditioned.load(Ordering::Relaxed),
@@ -303,8 +298,6 @@ pub struct SolverSnapshot {
     /// Excessive element growth observed during factorisation
     /// (advisory).
     pub hazard_pivot_growth: u64,
-    /// Degenerate Sherman–Morrison rank-1 denominators.
-    pub hazard_rank1_breakdown: u64,
     /// Non-finite residuals, solutions or trial steps scrubbed.
     pub hazard_nonfinite: u64,
     /// Refinement rounds that failed to contract the true residual.
@@ -334,7 +327,7 @@ impl SolverSnapshot {
     /// recorder-facing [`COUNTER_NAMES`] are these with a `solver.`
     /// prefix. Keeping one authoritative name list next to the value
     /// list stops the two from drifting into positional magic.
-    pub const FIELDS: [&'static str; 19] = [
+    pub const FIELDS: [&'static str; 18] = [
         "newton_iterations",
         "steps_accepted",
         "steps_rejected",
@@ -345,7 +338,6 @@ impl SolverSnapshot {
         "factor_reuse_misses",
         "hazard.near_singular_pivot",
         "hazard.pivot_growth",
-        "hazard.rank1_breakdown",
         "hazard.nonfinite",
         "hazard.refinement_stall",
         "hazard.ill_conditioned",
@@ -366,7 +358,7 @@ impl SolverSnapshot {
     }
 
     /// Counter values in [`COUNTER_NAMES`] order.
-    pub fn as_array(&self) -> [u64; 19] {
+    pub fn as_array(&self) -> [u64; 18] {
         [
             self.newton_iterations,
             self.steps_accepted,
@@ -378,7 +370,6 @@ impl SolverSnapshot {
             self.factor_reuse_misses,
             self.hazard_near_singular_pivot,
             self.hazard_pivot_growth,
-            self.hazard_rank1_breakdown,
             self.hazard_nonfinite,
             self.hazard_refinement_stall,
             self.hazard_ill_conditioned,
@@ -393,11 +384,10 @@ impl SolverSnapshot {
     /// Hazard counters paired with their [`NumericalHazard::label`]s,
     /// in [`NumericalHazard::ALL`] order — the shape canonical-report
     /// markers and `experiments explain` render from.
-    pub fn hazards(&self) -> [(&'static str, u64); 6] {
+    pub fn hazards(&self) -> [(&'static str, u64); 5] {
         [
             ("near-singular-pivot", self.hazard_near_singular_pivot),
             ("pivot-growth", self.hazard_pivot_growth),
-            ("rank1-breakdown", self.hazard_rank1_breakdown),
             ("non-finite", self.hazard_nonfinite),
             ("refinement-stall", self.hazard_refinement_stall),
             ("ill-conditioned", self.hazard_ill_conditioned),
@@ -432,7 +422,6 @@ impl Add for SolverSnapshot {
             hazard_near_singular_pivot: self.hazard_near_singular_pivot
                 + rhs.hazard_near_singular_pivot,
             hazard_pivot_growth: self.hazard_pivot_growth + rhs.hazard_pivot_growth,
-            hazard_rank1_breakdown: self.hazard_rank1_breakdown + rhs.hazard_rank1_breakdown,
             hazard_nonfinite: self.hazard_nonfinite + rhs.hazard_nonfinite,
             hazard_refinement_stall: self.hazard_refinement_stall + rhs.hazard_refinement_stall,
             hazard_ill_conditioned: self.hazard_ill_conditioned + rhs.hazard_ill_conditioned,
@@ -470,7 +459,7 @@ mod tests {
         m.factor_reuse_hit();
         m.factor_reuse_hit();
         m.factor_reuse_miss();
-        m.hazard(NumericalHazard::Rank1Breakdown);
+        m.hazard(NumericalHazard::RefinementStall);
         m.hazard(NumericalHazard::NonFinite);
         m.hazard(NumericalHazard::NonFinite);
         m.demotion(DemotionTier::Refactor);
@@ -484,7 +473,7 @@ mod tests {
         assert_eq!(snap.dc_source_steps, 1);
         assert_eq!(snap.factor_reuse_hits, 2);
         assert_eq!(snap.factor_reuse_misses, 1);
-        assert_eq!(snap.hazard_rank1_breakdown, 1);
+        assert_eq!(snap.hazard_refinement_stall, 1);
         assert_eq!(snap.hazard_nonfinite, 2);
         assert_eq!(snap.hazard_near_singular_pivot, 0);
         assert_eq!(snap.demote_refactor, 1);
@@ -573,20 +562,19 @@ mod tests {
             factor_reuse_misses: 8,
             hazard_near_singular_pivot: 9,
             hazard_pivot_growth: 10,
-            hazard_rank1_breakdown: 11,
-            hazard_nonfinite: 12,
-            hazard_refinement_stall: 13,
-            hazard_ill_conditioned: 14,
-            demote_stale: 15,
-            demote_refactor: 16,
-            demote_symbolic: 17,
-            demote_dense: 18,
-            refinement_rounds: 19,
+            hazard_nonfinite: 11,
+            hazard_refinement_stall: 12,
+            hazard_ill_conditioned: 13,
+            demote_stale: 14,
+            demote_refactor: 15,
+            demote_symbolic: 16,
+            demote_dense: 17,
+            refinement_rounds: 18,
             ..SolverSnapshot::default()
         };
         assert_eq!(
             snap.as_array(),
-            [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19]
+            [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18]
         );
         let rec = AggregatingRecorder::new();
         snap.emit_to(&rec);

@@ -9,9 +9,7 @@ use crate::flight::SolveHooks;
 use crate::metrics::DemotionTier;
 use crate::netlist::{DeviceId, Netlist, NodeId};
 use crate::robust::BudgetClock;
-use crate::solver::{
-    FactorKey, MnaMatrix, PositionProbe, Rank1Action, Rank1Setup, SolverContext, SystemMatrix,
-};
+use crate::solver::{FactorKey, MnaMatrix, PositionProbe, SolverContext, SystemMatrix};
 use crate::AnalysisError;
 use linsys::sparse::{SparseMatrix, SparseStructure};
 use linsys::{refine_once, NumericalHazard, SingularMatrixError};
@@ -146,6 +144,11 @@ pub struct StampParams<'a> {
 }
 
 /// Stamps the full linearised MNA system `A·x_new = b` around the guess `x`.
+///
+/// Assembly runs in two passes — linear stamps plus gmin first
+/// ([`stamp_linear`]), nonlinear device model evaluation (MOSFET / diode
+/// / switch) second ([`stamp_nonlinear`]) — the same order the Newton
+/// loop assembles in, so the two produce bit-identical systems.
 pub fn stamp_system<M: MnaMatrix>(
     netlist: &Netlist,
     layout: &MnaLayout,
@@ -154,40 +157,11 @@ pub fn stamp_system<M: MnaMatrix>(
     a: &mut M,
     b: &mut [f64],
 ) {
-    stamp_system_profiled(netlist, layout, x, params, a, b, None);
-}
-
-/// [`stamp_system`] with optional boundary-timed phase attribution.
-///
-/// Assembly runs in two passes — linear stamps plus gmin first,
-/// nonlinear device model evaluation (MOSFET / diode / switch) second —
-/// so a [`LapTimer`] can attribute each pass with a single clock read
-/// ([`Phase::Stamp`] and [`Phase::DeviceEval`] respectively) instead of
-/// paying a timing guard per device inside the Newton hot loop. The
-/// pass split is unconditional (armed and disarmed runs assemble in
-/// the same order), so arming the profiler never changes a bit of the
-/// stamped system.
-pub fn stamp_system_profiled<M: MnaMatrix>(
-    netlist: &Netlist,
-    layout: &MnaLayout,
-    x: &[f64],
-    params: &StampParams<'_>,
-    a: &mut M,
-    b: &mut [f64],
-    mut lap: Option<&mut LapTimer>,
-) {
     a.clear();
     b.iter_mut().for_each(|v| *v = 0.0);
     stamp_linear(netlist, layout, params, a, b);
-    if let Some(lap) = lap.as_deref_mut() {
-        lap.lap(Phase::Stamp);
-    }
-    if !netlist.has_nonlinear_devices() {
-        return;
-    }
-    stamp_nonlinear(netlist, layout, x, a, b);
-    if let Some(lap) = lap {
-        lap.lap(Phase::DeviceEval);
+    if netlist.has_nonlinear_devices() {
+        stamp_nonlinear(netlist, layout, x, a, b);
     }
 }
 
@@ -540,70 +514,35 @@ impl Default for NewtonOptions {
 /// Runs damped Newton–Raphson from the guess in `x`, overwriting it with
 /// the solution.
 ///
-/// # Errors
-///
-/// Returns [`AnalysisError::NoConvergence`] after `max_iterations`, or
-/// [`AnalysisError::SingularMatrix`] if the Jacobian cannot be factored.
-pub fn newton_solve(
-    netlist: &Netlist,
-    layout: &MnaLayout,
-    params: &StampParams<'_>,
-    options: &NewtonOptions,
-    x: &mut Vec<f64>,
-) -> Result<(), AnalysisError> {
-    newton_solve_budgeted(netlist, layout, params, options, None, SolveHooks::none(), x)
-}
-
-/// [`newton_solve`] with an optional wall-clock meter and the
-/// per-solve observer bundle.
+/// `ctx` carries the sparse symbolic structure, the assembled system
+/// workspace and the cached factorisation *across* solves, which is
+/// where the reuse wins come from: a transient march passes the same
+/// context for every timestep, so a factorisation computed at one
+/// timepoint keeps serving as the modified-Newton preconditioner until
+/// the reuse policy retires it. A one-off solve passes a fresh
+/// [`SolverContext::default`].
 ///
 /// When `clock` is provided, its wall-clock budget is polled between
 /// Newton iterations so a single stuck timestep cannot outlive the
 /// analysis budget. `hooks` carries the optional iteration counter
 /// ([`crate::metrics::SolverMetrics`]), the optional
 /// [`crate::flight::FlightRecorder`] and the optional
-/// [`PhaseProfiler`] attributing stamp / factor / back-substitute /
-/// residual wall time; all handles are owned by the caller, so counts,
-/// traces and timings cannot bleed between unrelated analyses the way
-/// thread-global state would. A fully disarmed bundle costs a few
-/// `None` branches per iteration, allocates nothing and never reads
-/// the clock.
+/// [`obs::profile::PhaseProfiler`] attributing stamp / factor /
+/// back-substitute / residual wall time; all handles are owned by the
+/// caller, so counts, traces and timings cannot bleed between unrelated
+/// analyses the way thread-global state would. A fully disarmed bundle
+/// costs a few `None` branches per iteration, allocates nothing and
+/// never reads the clock.
 ///
 /// # Errors
 ///
-/// As [`newton_solve`], plus [`AnalysisError::BudgetExceeded`] when the
-/// clock's wall-clock ceiling is crossed.
-pub fn newton_solve_budgeted(
-    netlist: &Netlist,
-    layout: &MnaLayout,
-    params: &StampParams<'_>,
-    options: &NewtonOptions,
-    clock: Option<&BudgetClock>,
-    hooks: SolveHooks<'_>,
-    x: &mut Vec<f64>,
-) -> Result<(), AnalysisError> {
-    let mut ctx = SolverContext::default();
-    newton_solve_with_context(
-        netlist, layout, params, options, clock, hooks, &mut ctx, None, x,
-    )
-}
-
-/// [`newton_solve_budgeted`] against a caller-owned [`SolverContext`].
-///
-/// The context carries the sparse symbolic structure, the assembled
-/// system workspace and the cached factorisation *across* solves, which
-/// is where the reuse wins come from: a transient march passes the same
-/// context for every timestep, so a factorisation computed at one
-/// timepoint keeps serving as the modified-Newton preconditioner until
-/// the reuse policy retires it. `rank1` optionally routes linear solves
-/// through a golden factorisation cache (capture on the golden run,
-/// Sherman–Morrison application on fault runs).
-///
-/// # Errors
-///
-/// As [`newton_solve_budgeted`].
+/// Returns [`AnalysisError::NoConvergence`] after `max_iterations`,
+/// [`AnalysisError::SingularMatrix`] if the Jacobian cannot be factored,
+/// [`AnalysisError::Numerical`] when a solve fails its acceptance gate
+/// after every recovery rung, or [`AnalysisError::BudgetExceeded`] when
+/// the clock's wall-clock ceiling is crossed.
 #[allow(clippy::too_many_arguments)]
-pub fn newton_solve_with_context(
+pub fn newton_solve(
     netlist: &Netlist,
     layout: &MnaLayout,
     params: &StampParams<'_>,
@@ -611,7 +550,6 @@ pub fn newton_solve_with_context(
     clock: Option<&BudgetClock>,
     hooks: SolveHooks<'_>,
     ctx: &mut SolverContext,
-    rank1: Option<&Rank1Setup>,
     x: &mut Vec<f64>,
 ) -> Result<(), AnalysisError> {
     // One lap timer per solve: phase boundaries inside the Newton loop
@@ -630,7 +568,6 @@ pub fn newton_solve_with_context(
         clock,
         &hooks,
         ctx,
-        rank1,
         lap.as_mut(),
         x,
     );
@@ -721,19 +658,11 @@ const COND_LIMIT: f64 = 1e14;
 /// single-shot fresh) factorisation: the solve passes when the true
 /// residual ∞-norm is below this fraction of its Oettli–Prager scale
 /// `max_r(Σ_c |a_rc·x_c| + |b_r|)`. Honest solves sit at rounding level
-/// (~1e-13 of scale even through a rank-1 update), so 1e-8 leaves four
-/// orders of margin while still catching a corrupted factor, a stale
-/// structure or a poisoned right-hand side. Failures take one round of
+/// (~1e-13 of scale), so 1e-8 leaves four orders of margin while still
+/// catching a corrupted factor, a stale structure or a poisoned
+/// right-hand side. Failures take one round of
 /// iterative refinement before the tier demotes.
 const RESID_GATE_TOL: f64 = 1e-8;
-
-/// Scale-relative breakdown threshold for the Sherman–Morrison
-/// denominator `1 + g·wᵀz`: the update is degenerate when the sum
-/// cancels to within this fraction of its operands' magnitude. The old
-/// absolute `1e-300` floor only caught underflow — a denominator of
-/// 1e-14 built from operands of size 1e2 is pure cancellation noise yet
-/// sailed through it.
-const RANK1_DENOM_REL_TOL: f64 = 1e-12;
 
 /// Counts a hazard and appends it to the flight-recorder history.
 fn note_hazard(hooks: &SolveHooks<'_>, hazard: NumericalHazard, action: &str, time: f64) {
@@ -850,22 +779,18 @@ fn ensure_system(
     ctx.sys = Some((mode, sys));
 }
 
-/// The damped Newton loop behind [`newton_solve_with_context`], with
-/// phase boundaries marked on the caller's [`LapTimer`].
+/// The damped Newton loop behind [`newton_solve`], with phase
+/// boundaries marked on the caller's [`LapTimer`].
 ///
 /// Per iteration the loop restores the linear-baseline stamp snapshot
 /// (first iteration of a solve assembles and captures it), stamps the
 /// nonlinear devices on top, then picks a linear-solve tier:
 ///
-/// 1. **Sherman–Morrison** (linear netlists with a rank-1 fault delta
-///    and a golden factorisation cached under this key) — two
-///    back-substitutions against the *golden* factors, no
-///    factorisation of the faulty matrix at all.
-/// 2. **Cached factorisation** (key matches, not forced): linear
+/// 1. **Cached factorisation** (key matches, not forced): linear
 ///    netlists solve directly; nonlinear ones take a modified-Newton
 ///    step in residual form `x_new = x − M⁻¹(A(x)·x − b(x))` against
 ///    the stale factors.
-/// 3. **(Re)factorisation** otherwise, attributed to
+/// 2. **(Re)factorisation** otherwise, attributed to
 ///    [`Phase::Factor`] on a fresh key and [`Phase::Refactor`] when the
 ///    reuse policy retired a same-key factorisation.
 ///
@@ -881,11 +806,9 @@ fn newton_iterate(
     clock: Option<&BudgetClock>,
     hooks: &SolveHooks<'_>,
     ctx: &mut SolverContext,
-    rank1: Option<&Rank1Setup>,
     mut lap: Option<&mut LapTimer>,
     x: &mut Vec<f64>,
 ) -> Result<(), AnalysisError> {
-    let n = layout.size();
     let nv = layout.node_count() - 1;
     let key = factor_key(params);
 
@@ -967,91 +890,6 @@ fn newton_iterate(
             }
         }
 
-        // Tier 1: Sherman–Morrison against the golden factorisation.
-        if linear {
-            if let Some(setup) = rank1 {
-                if let Rank1Action::Apply(delta) = &setup.action {
-                    if let Some(golden) = setup.cache.get(&key) {
-                        // x = y − z·(g·wᵀy)/(1 + g·wᵀz) with
-                        // y = M⁻¹b, z = M⁻¹w and A = M + g·w·wᵀ.
-                        golden.solve_into(&ctx.b, &mut ctx.x_new);
-                        delta.w_into(&mut ctx.resid);
-                        golden.solve_into(&ctx.resid, &mut ctx.scratch);
-                        let g = delta.conductance;
-                        let gwz = g * delta.w_dot(&ctx.scratch);
-                        let denom = 1.0 + gwz;
-                        // The update is degenerate when `1 + g·wᵀz`
-                        // cancels to rounding level of its operands — a
-                        // scale-relative test, unlike the absolute
-                        // underflow floor it replaces, which waved
-                        // through catastrophically cancelled sums. The
-                        // chaos hook forces a breakdown on schedule.
-                        let breakdown = hooks.chaos.is_some_and(|c| c.fire(NumericSite::Denom))
-                            || denom.abs() <= RANK1_DENOM_REL_TOL * 1.0_f64.max(gwz.abs());
-                        let mut sm_hazard = NumericalHazard::Rank1Breakdown;
-                        if !breakdown {
-                            let coef = g * delta.w_dot(&ctx.x_new) / denom;
-                            for k in 0..n {
-                                ctx.x_new[k] -= coef * ctx.scratch[k];
-                            }
-                            if let Some(l) = lap.as_deref_mut() {
-                                l.lap(Phase::Rank1Update);
-                            }
-                            // Acceptance gate: the golden factors are a
-                            // reused tier, so the corrected solve must
-                            // reproduce the assembled faulty system
-                            // before it is returned. One refinement
-                            // round through the same factors (M ≈ A)
-                            // repairs marginal solves; anything still
-                            // above the gate demotes below.
-                            let (_, sys) = ctx.sys.as_ref().expect("system prepared");
-                            let (rnorm, scale) =
-                                sys.residual_gate_into(&ctx.x_new, &ctx.b, &mut ctx.resid);
-                            let mut accepted = rnorm <= RESID_GATE_TOL * scale;
-                            if !accepted {
-                                if let Some(metrics) = hooks.metrics {
-                                    metrics.refinement_round();
-                                }
-                                let b = &ctx.b;
-                                let out = refine_once(
-                                    &mut ctx.x_new,
-                                    &mut ctx.resid,
-                                    &mut ctx.scratch,
-                                    &mut ctx.trial,
-                                    |xv, out| sys.residual_into(xv, b, out),
-                                    |r, out| golden.solve_into(r, out),
-                                );
-                                accepted = out.residual_after <= RESID_GATE_TOL * scale;
-                            }
-                            if accepted {
-                                if let Some(metrics) = hooks.metrics {
-                                    metrics.factor_reuse_hit();
-                                }
-                                x.clear();
-                                x.extend_from_slice(&ctx.x_new);
-                                return Ok(());
-                            }
-                            sm_hazard = NumericalHazard::RefinementStall;
-                        }
-                        // Degenerate or unrepairable update: demote to
-                        // the cached factorisation of the faulty matrix
-                        // when one exists under this key, else to a
-                        // refactorisation, and fall through to those
-                        // tiers.
-                        let tier = if !ctx.force_refactor
-                            && matches!(&ctx.factor, Some((k, _)) if *k == key)
-                        {
-                            DemotionTier::Stale
-                        } else {
-                            DemotionTier::Refactor
-                        };
-                        note_demotion(hooks, tier);
-                        note_hazard(hooks, sm_hazard, demote_action(tier), params.time);
-                    }
-                }
-            }
-        }
-
         let mut cached = !ctx.force_refactor && matches!(&ctx.factor, Some((k, _)) if *k == key);
         let mut stale_accepted = false;
         let mut stale_rejected = false;
@@ -1104,7 +942,7 @@ fn newton_iterate(
             cached = false;
         }
         if cached && ctx.stale_iters < STALE_ITER_CAP && (iter > 0 || ctx.distrust == 0) {
-            // Tier 2: trial modified-Newton step in residual form
+            // Tier 1: trial modified-Newton step in residual form
             // against the stale factors: x_new = x − M⁻¹(A(x)·x − b(x)).
             // The step is only *accepted* if it keeps contracting the
             // update; otherwise this iteration refactorises below, so a
@@ -1145,7 +983,7 @@ fn newton_iterate(
             }
         }
         if !stale_accepted {
-            // Tier 3: (re)factorise at the current iterate.
+            // Tier 2: (re)factorise at the current iterate.
             if stale_rejected {
                 // The contraction guard just retired these factors: open
                 // a distrust window so the next few solves go straight
@@ -1304,11 +1142,6 @@ fn newton_iterate(
                         time: params.time,
                     });
                 }
-                if let Some(setup) = rank1 {
-                    if matches!(setup.action, Rank1Action::Capture) {
-                        setup.cache.insert(key, &factor);
-                    }
-                }
                 ctx.factor = Some((key, factor));
                 ctx.force_refactor = false;
                 ctx.stale_iters = 0;
@@ -1423,7 +1256,17 @@ mod tests {
             gmin: 1e-12,
             source_scale: 1.0,
         };
-        newton_solve(nl, &layout, &params, &NewtonOptions::default(), &mut x).unwrap();
+        newton_solve(
+            nl,
+            &layout,
+            &params,
+            &NewtonOptions::default(),
+            None,
+            SolveHooks::none(),
+            &mut SolverContext::default(),
+            &mut x,
+        )
+        .unwrap();
         (layout, x)
     }
 
@@ -1598,6 +1441,16 @@ mod tests {
             gmin: 0.0,
             source_scale: 1.0,
         };
-        assert!(newton_solve(&nl, &layout, &params, &NewtonOptions::default(), &mut x).is_err());
+        assert!(newton_solve(
+            &nl,
+            &layout,
+            &params,
+            &NewtonOptions::default(),
+            None,
+            SolveHooks::none(),
+            &mut SolverContext::default(),
+            &mut x,
+        )
+        .is_err());
     }
 }

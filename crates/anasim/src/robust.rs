@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use crate::error::{AnalysisError, BudgetKind};
 use crate::flight::FlightRecorder;
-use crate::solver::{Backend, Rank1Setup, WarmStart};
+use crate::solver::{Backend, WarmStart};
 use crate::metrics::SolverMetrics;
 use obs::profile::PhaseProfiler;
 
@@ -311,14 +311,10 @@ pub struct SolveSettings {
     /// Golden operating point used to seed DC solves. `None` (the
     /// default) cold-starts.
     pub warm_start: Option<Arc<WarmStart>>,
-    /// Rank-1 golden-factorisation routing: capture on the golden
-    /// extraction, Sherman–Morrison application on fault extractions
-    /// of linear circuits. `None` disables the tier.
-    pub rank1: Option<Rank1Setup>,
     /// Numeric-chaos firing state: deterministic arithmetic fault
-    /// injection into the Newton solver's factorisations, solutions and
-    /// rank-1 denominators. `None` (the default) keeps every injection
-    /// site inert with a single branch.
+    /// injection into the Newton solver's factorisations and solutions.
+    /// `None` (the default) keeps every injection site inert with a
+    /// single branch.
     pub numeric_chaos: Option<Arc<obs::NumericChaosState>>,
 }
 
@@ -360,12 +356,6 @@ impl SolveSettings {
         self
     }
 
-    /// `self` with a [`Rank1Setup`] attached (builder style).
-    pub fn rank1(mut self, rank1: Rank1Setup) -> Self {
-        self.rank1 = Some(rank1);
-        self
-    }
-
     /// `self` with a numeric-chaos firing state armed (builder style).
     pub fn numeric_chaos(mut self, state: Arc<obs::NumericChaosState>) -> Self {
         self.numeric_chaos = Some(state);
@@ -386,7 +376,6 @@ impl Default for SolveSettings {
             profile: None,
             backend: Backend::default(),
             warm_start: None,
-            rank1: None,
             numeric_chaos: None,
         }
     }

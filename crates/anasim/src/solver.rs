@@ -1,6 +1,6 @@
 //! The linear-solver core under the Newton iteration: backend
-//! selection, symbolic-structure and factorisation caching, golden
-//! warm-starts and rank-1 fault updates.
+//! selection, symbolic-structure and factorisation caching, and golden
+//! warm-starts.
 //!
 //! The Newton hot loop in [`crate::mna`] solves one linearised MNA
 //! system per iteration. Historically that meant one dense LU
@@ -24,20 +24,13 @@
 //! * [`WarmStart`] — a golden operating point mapped onto a faulty
 //!   netlist's unknown layout, so fault extractions seed DC from the
 //!   golden solution instead of re-running the homotopy chain.
-//! * [`Rank1Cache`] / [`Rank1Setup`] — Sherman–Morrison support: a
-//!   bridge fault on a linear netlist is a rank-1 conductance update
-//!   `g·w·wᵀ` to the golden matrix, so the faulty system is solved from
-//!   the *golden* factorisation captured during golden extraction,
-//!   never factoring the faulty matrix at all.
 //!
 //! The reuse *policy* (when to trust a stale factorisation, when to
 //! force a refactorisation) lives in [`crate::mna`]; everything here is
 //! deliberately deterministic and backend-symmetric so the policy makes
 //! identical decisions under either backend.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use linsys::matrix::{Lu, Matrix};
 use linsys::sparse::{SparseLu, SparseMatrix, SparseStructure, SparseWorkspace};
@@ -305,10 +298,9 @@ impl LinearSolver for SparseLu {
 /// A cached factorisation from either backend.
 ///
 /// The variants differ in size (a `SparseLu` carries its pattern and
-/// condest workspaces), but at most a handful of these exist per
-/// solver context — one live cache slot plus the golden/rank-1 cache —
-/// so boxing the large variant would buy nothing and cost an
-/// indirection on the back-substitution hot path.
+/// condest workspaces), but a solver context holds only one (its live
+/// cache slot), so boxing the large variant would buy nothing and cost
+/// an indirection on the back-substitution hot path.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum LinearFactor {
@@ -428,139 +420,6 @@ impl WarmStart {
     }
 }
 
-/// A rank-1 conductance perturbation `g·w·wᵀ` with `w = e_pos − e_neg`
-/// (`None` = ground, contributing nothing).
-///
-/// This is exactly what a bridge fault stamps on top of the golden
-/// matrix, so a faulty linear system solves from the golden
-/// factorisation via Sherman–Morrison.
-#[derive(Debug, Clone, Copy)]
-pub struct Rank1Delta {
-    /// Unknown index of the bridge's first node (`None` for ground).
-    pub pos: Option<usize>,
-    /// Unknown index of the bridge's second node (`None` for ground).
-    pub neg: Option<usize>,
-    /// Bridge conductance in siemens.
-    pub conductance: f64,
-}
-
-impl Rank1Delta {
-    /// `wᵀ·v` for this delta's `w`.
-    #[inline]
-    pub fn w_dot(&self, v: &[f64]) -> f64 {
-        self.pos.map_or(0.0, |i| v[i]) - self.neg.map_or(0.0, |i| v[i])
-    }
-
-    /// Writes `w` into `out` (which must be zeroed-compatible; it is
-    /// overwritten entirely).
-    pub fn w_into(&self, out: &mut [f64]) {
-        out.iter_mut().for_each(|v| *v = 0.0);
-        if let Some(i) = self.pos {
-            out[i] = 1.0;
-        }
-        if let Some(i) = self.neg {
-            out[i] = -1.0;
-        }
-    }
-}
-
-/// Golden factorisations captured during golden extraction, keyed by
-/// [`FactorKey`], shared read-only with every fault worker.
-///
-/// The cache is filled only by the golden run (before workers start)
-/// and then frozen; a frozen cache ignores inserts. That makes every
-/// lookup deterministic regardless of worker scheduling, which keeps
-/// canonical campaign reports byte-identical at any worker count.
-#[derive(Debug, Default)]
-pub struct Rank1Cache {
-    frozen: AtomicBool,
-    map: Mutex<HashMap<FactorKey, Arc<LinearFactor>>>,
-}
-
-impl Rank1Cache {
-    /// An empty, unfrozen cache.
-    pub fn new() -> Self {
-        Rank1Cache::default()
-    }
-
-    /// Stops further inserts; lookups keep working.
-    pub fn freeze(&self) {
-        self.frozen.store(true, Ordering::SeqCst);
-    }
-
-    /// Records `factor` under `key` unless frozen or already present.
-    pub fn insert(&self, key: FactorKey, factor: &LinearFactor) {
-        if self.frozen.load(Ordering::SeqCst) {
-            return;
-        }
-        // A panicking worker poisons the mutex, but every mutation here
-        // is a single `HashMap` operation that leaves the map
-        // consistent even if the *caller* panicked mid-campaign — so
-        // recover the guard instead of cascading the panic into every
-        // surviving worker that still shares this cache.
-        let mut map = self.map.lock().unwrap_or_else(|p| p.into_inner());
-        map.entry(key).or_insert_with(|| Arc::new(factor.clone()));
-    }
-
-    /// The captured factorisation for `key`, if any.
-    pub fn get(&self, key: &FactorKey) -> Option<Arc<LinearFactor>> {
-        self.map
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(key)
-            .cloned()
-    }
-
-    /// Number of captured factorisations.
-    pub fn len(&self) -> usize {
-        self.map.lock().unwrap_or_else(|p| p.into_inner()).len()
-    }
-
-    /// True when nothing has been captured.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// What a solve should do with a [`Rank1Cache`].
-#[derive(Debug, Clone)]
-pub enum Rank1Action {
-    /// Record every linear factorisation into the cache (golden run).
-    Capture,
-    /// Solve through the cached golden factorisation with this delta
-    /// applied via Sherman–Morrison (fault run). Falls back to normal
-    /// factorisation on a cache miss.
-    Apply(Rank1Delta),
-}
-
-/// A rank-1 configuration threaded into an analysis through
-/// [`crate::robust::SolveSettings`].
-#[derive(Debug, Clone)]
-pub struct Rank1Setup {
-    /// The shared golden-factorisation cache.
-    pub cache: Arc<Rank1Cache>,
-    /// Capture into or apply through the cache.
-    pub action: Rank1Action,
-}
-
-impl Rank1Setup {
-    /// A capturing setup (golden extraction).
-    pub fn capture(cache: Arc<Rank1Cache>) -> Self {
-        Rank1Setup {
-            cache,
-            action: Rank1Action::Capture,
-        }
-    }
-
-    /// An applying setup (fault extraction).
-    pub fn apply(cache: Arc<Rank1Cache>, delta: Rank1Delta) -> Self {
-        Rank1Setup {
-            cache,
-            action: Rank1Action::Apply(delta),
-        }
-    }
-}
-
 /// Per-analysis solver state that outlives individual Newton solves:
 /// workspaces, the sparse symbolic structure per companion mode, and
 /// the cached factorisation with its reuse bookkeeping.
@@ -581,9 +440,9 @@ pub struct SolverContext {
     pub(crate) b: Vec<f64>,
     /// Newton iterate workspace (`x_new`).
     pub(crate) x_new: Vec<f64>,
-    /// Residual / rank-1 `w` workspace.
+    /// Residual workspace.
     pub(crate) resid: Vec<f64>,
-    /// Correction / rank-1 `z` workspace.
+    /// Correction workspace.
     pub(crate) scratch: Vec<f64>,
     /// Refinement trial-iterate workspace.
     pub(crate) trial: Vec<f64>,
@@ -711,80 +570,5 @@ mod tests {
         assert_eq!(x[2], 0.0); // fault:gen node, new
         assert_eq!(x[3], -1e-3); // V1 branch, shifted by the new node
         assert_eq!(x[4], 0.0); // fault:V branch, new
-    }
-
-    #[test]
-    fn rank1_cache_freezes() {
-        let cache = Rank1Cache::new();
-        let key = FactorKey {
-            mode: 0,
-            method: 2,
-            dt_bits: 0,
-            gmin_bits: 0,
-        };
-        let mut m = Matrix::zeros(1, 1);
-        m.add(0, 0, 2.0);
-        let factor = LinearFactor::Dense(Lu::factor(&m).unwrap());
-        cache.insert(key, &factor);
-        assert_eq!(cache.len(), 1);
-        cache.freeze();
-        let key2 = FactorKey { mode: 1, ..key };
-        cache.insert(key2, &factor);
-        assert_eq!(cache.len(), 1, "frozen cache accepted an insert");
-        assert!(cache.get(&key).is_some());
-        assert!(cache.get(&key2).is_none());
-    }
-
-    #[test]
-    fn rank1_cache_survives_a_panicking_worker() {
-        // A worker that panics while holding the cache mutex poisons
-        // it; the cache must keep serving the surviving workers (the
-        // map itself is never left mid-mutation). Campaign-level
-        // coverage lives in the faultsim chaos tests; this pins the
-        // primitive.
-        let cache = Arc::new(Rank1Cache::new());
-        let key = FactorKey {
-            mode: 0,
-            method: 2,
-            dt_bits: 0,
-            gmin_bits: 0,
-        };
-        let mut m = Matrix::zeros(1, 1);
-        m.add(0, 0, 2.0);
-        let factor = LinearFactor::Dense(Lu::factor(&m).unwrap());
-        cache.insert(key, &factor);
-        let poisoner = Arc::clone(&cache);
-        let _ = std::thread::spawn(move || {
-            let _guard = poisoner.map.lock().unwrap();
-            panic!("worker dies mid-campaign");
-        })
-        .join();
-        // All three accessors recover from the poison.
-        assert!(cache.get(&key).is_some());
-        assert_eq!(cache.len(), 1);
-        let key2 = FactorKey { mode: 1, ..key };
-        cache.insert(key2, &factor);
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn rank1_delta_dot_and_vector() {
-        let delta = Rank1Delta {
-            pos: Some(0),
-            neg: Some(2),
-            conductance: 1e-2,
-        };
-        let v = [3.0, 9.0, 1.0];
-        assert_eq!(delta.w_dot(&v), 2.0);
-        let mut w = [f64::NAN; 3];
-        delta.w_into(&mut w);
-        assert_eq!(w, [1.0, 0.0, -1.0]);
-        // Grounded terminal contributes nothing.
-        let grounded = Rank1Delta {
-            pos: Some(1),
-            neg: None,
-            conductance: 1.0,
-        };
-        assert_eq!(grounded.w_dot(&v), 9.0);
     }
 }

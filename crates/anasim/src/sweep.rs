@@ -8,8 +8,10 @@
 
 use crate::dc::{DcOptions, OperatingPoint};
 use crate::devices::Device;
+use crate::flight::SolveHooks;
 use crate::mna::{newton_solve, CompanionMode, MnaLayout, StampParams};
 use crate::netlist::{DeviceId, Netlist, NodeId};
+use crate::solver::SolverContext;
 use crate::source::SourceWaveform;
 use crate::AnalysisError;
 
@@ -138,7 +140,16 @@ pub fn dc_sweep(
         };
         // Warm start from the previous point; on the first point (or a
         // cold failure) fall back to the full homotopy solver.
-        let solved = newton_solve(&working, &layout, &params, &options.newton, &mut x);
+        let solved = newton_solve(
+            &working,
+            &layout,
+            &params,
+            &options.newton,
+            None,
+            SolveHooks::none(),
+            &mut SolverContext::default(),
+            &mut x,
+        );
         if solved.is_err() {
             let op = crate::dc::dc_operating_point_with(&working, &options).map_err(|e| {
                 match e {

@@ -5,12 +5,11 @@ use crate::devices::Device;
 use crate::flight::{FlightRecorder, SolveHooks, SolvePhase};
 use crate::metrics::SolverMetrics;
 use crate::mna::{
-    newton_solve_with_context, CompanionMode, Integrator, MnaLayout, NewtonOptions,
-    ReactiveHistory, StampParams,
+    newton_solve, CompanionMode, Integrator, MnaLayout, NewtonOptions, ReactiveHistory, StampParams,
 };
 use crate::netlist::{DeviceId, Netlist, NodeId};
 use crate::robust::{BudgetClock, CancelToken, SolveBudget, SolveSettings, DEFAULT_MAX_STEPS};
-use crate::solver::{Backend, Rank1Setup, SolverContext, WarmStart};
+use crate::solver::{Backend, SolverContext, WarmStart};
 use crate::waveform::Waveform;
 use crate::AnalysisError;
 
@@ -75,7 +74,6 @@ pub struct TransientAnalysis {
     profile: Option<Arc<obs::profile::PhaseProfiler>>,
     backend: Backend,
     warm_start: Option<Arc<WarmStart>>,
-    rank1: Option<Rank1Setup>,
     numeric_chaos: Option<Arc<obs::NumericChaosState>>,
 }
 
@@ -104,7 +102,6 @@ impl TransientAnalysis {
             profile: None,
             backend: Backend::default(),
             warm_start: None,
-            rank1: None,
             numeric_chaos: None,
         }
     }
@@ -119,14 +116,6 @@ impl TransientAnalysis {
     /// operating point instead of the zero vector.
     pub fn warm_start(mut self, warm: Arc<WarmStart>) -> Self {
         self.warm_start = Some(warm);
-        self
-    }
-
-    /// Attaches a rank-1 factorization-reuse setup: either capturing
-    /// linear factors into a shared cache (golden run) or applying a
-    /// Sherman–Morrison update against it (faulty run).
-    pub fn rank1(mut self, rank1: Rank1Setup) -> Self {
-        self.rank1 = Some(rank1);
         self
     }
 
@@ -234,9 +223,6 @@ impl TransientAnalysis {
         if let Some(warm) = &settings.warm_start {
             self.warm_start = Some(Arc::clone(warm));
         }
-        if let Some(rank1) = &settings.rank1 {
-            self.rank1 = Some(rank1.clone());
-        }
         if let Some(chaos) = &settings.numeric_chaos {
             self.numeric_chaos = Some(Arc::clone(chaos));
         }
@@ -298,7 +284,6 @@ impl TransientAnalysis {
                     },
                     hooks,
                     self.warm_start.as_deref(),
-                    self.rank1.as_ref(),
                     &mut ctx,
                 )?;
                 op.into_solution()
@@ -398,7 +383,7 @@ impl TransientAnalysis {
                     gmin: self.gmin,
                     source_scale: 1.0,
                 };
-                match newton_solve_with_context(
+                match newton_solve(
                     netlist,
                     &layout,
                     &params,
@@ -406,7 +391,6 @@ impl TransientAnalysis {
                     Some(&clock),
                     hooks,
                     &mut ctx,
-                    self.rank1.as_ref(),
                     &mut x_try,
                 ) {
                     Ok(()) => break (x_try, method, dt_try),
@@ -775,7 +759,7 @@ impl TransientSession {
                     gmin: self.gmin,
                     source_scale: 1.0,
                 };
-                match newton_solve_with_context(
+                match newton_solve(
                     &self.netlist,
                     &self.layout,
                     &params,
@@ -783,7 +767,6 @@ impl TransientSession {
                     None,
                     SolveHooks::metrics(self.metrics.as_deref()),
                     &mut self.ctx,
-                    None,
                     &mut x_try,
                 ) {
                     Ok(()) => {
@@ -1130,7 +1113,6 @@ mod tests {
             profile: None,
             backend: crate::solver::Backend::default(),
             warm_start: None,
-            rank1: None,
             numeric_chaos: None,
         };
         let tuned = base.clone().with_settings(&settings);

@@ -57,11 +57,11 @@
 //! the next fault boundary with a clean partial journal, `continue`
 //! finishes the campaign journal-less and marks the run degraded.
 //! `--numeric-chaos` arms deterministic *solver* fault injection (for
-//! example `pivot@0`, `nan@2..4`, `denom@0`, `perturb@1`, `seed@7:10`,
-//! see [`obs::chaos::NumericChaosPlan::parse`]) into every fault
-//! extraction of every campaign: forced pivot breakdowns, corrupted
-//! factors, poisoned solutions and degenerate rank-1 denominators
-//! exercise the hazard taxonomy and tier-demotion ladder end to end.
+//! example `pivot@0`, `nan@2..4`, `perturb@1`, `seed@7:10`, see
+//! [`obs::chaos::NumericChaosPlan::parse`]) into every fault extraction
+//! of every campaign: forced pivot breakdowns, corrupted factors and
+//! poisoned solutions exercise the hazard taxonomy and tier-demotion
+//! ladder end to end.
 //! It needs no journal, golden extractions always run clean, and
 //! `hazard.*` / `demote.*` counters land in the metrics, the bench
 //! sidecar and the canonical `[hazard … → demote …]` markers.
@@ -584,17 +584,15 @@ fn render_profile_table(snapshot: &PhaseSnapshot, entries: &[BenchEntry]) -> Str
         };
         out.push_str(&line);
         // Factorisation-reuse economy: how many Newton iterations were
-        // served by an existing factorisation, and how many of those by
-        // a golden Sherman–Morrison rank-1 update.
+        // served by an existing factorisation.
         let decisions = e.factor_reuse_hits + e.factor_reuse_misses;
         if decisions > 0 {
             out.push_str(&format!(
-                "{}: factor reuse {}/{} ({:.1} %), {} rank-1 update(s)\n",
+                "{}: factor reuse {}/{} ({:.1} %)\n",
                 e.name,
                 e.factor_reuse_hits,
                 decisions,
                 100.0 * e.factor_reuse_hits as f64 / decisions as f64,
-                e.phases.calls(Phase::Rank1Update),
             ));
         }
     }

@@ -21,18 +21,19 @@
 //! factorisation-reuse economy of the sparse solver core:
 //!
 //! * `factor_reuse_hits` / `factor_reuse_misses` — how often a Newton
-//!   iteration was served by an existing factorisation (cached, stale
-//!   modified-Newton, or golden Sherman–Morrison) versus how often one
-//!   had to be computed;
-//! * the `phases` key set grows to the full 10-phase taxonomy
-//!   (`symbolic`, `refactor`, `rank1_update` join the legacy seven).
+//!   iteration was served by an existing factorisation (cached or stale
+//!   modified-Newton) versus how often one had to be computed;
+//! * the `phases` key set grows to the full phase taxonomy (`symbolic`
+//!   and `refactor` join the legacy seven). Documents written before
+//!   the golden-factorisation update tier was retired also carry its
+//!   phase; [`validate`] ignores phase keys outside the taxonomy.
 //!
 //! Schema `mixsig.solver-bench/4` extends `/3` with the numerical
 //! resilience economy:
 //!
 //! * `hazards` — total numerical hazards the solver detected (pivot
-//!   breakdowns, rank-1 denominators, non-finite iterates, refinement
-//!   stalls, advisory growth/conditioning flags);
+//!   breakdowns, non-finite iterates, refinement stalls, advisory
+//!   growth/conditioning flags);
 //! * `demotions` — how often a hazard demoted the solve down the
 //!   recovery ladder (stale → refactor → symbolic → dense);
 //! * `refinement_rounds` — iterative-refinement rounds spent vetting
@@ -86,8 +87,7 @@ pub struct BenchEntry {
     /// totals can legitimately exceed the wall-clock.
     pub workers: usize,
     /// Newton iterations served by an existing factorisation (cached
-    /// direct solve, accepted stale modified-Newton step, or golden
-    /// Sherman–Morrison update).
+    /// direct solve or accepted stale modified-Newton step).
     pub factor_reuse_hits: u64,
     /// Newton iterations that had to (re)factorise.
     pub factor_reuse_misses: u64,

@@ -40,7 +40,7 @@ use anasim::metrics::{SolverMetrics, SolverSnapshot};
 use anasim::mna::MnaLayout;
 use anasim::netlist::Netlist;
 use anasim::robust::{escalation_ladder, CancelToken, SolveBudget, SolveSettings, SolverRung};
-use anasim::solver::{Backend, Rank1Cache, Rank1Delta, Rank1Setup, WarmStart};
+use anasim::solver::{Backend, WarmStart};
 use anasim::AnalysisError;
 use obs::chaos::FaultPlan;
 use obs::journal::{JournalOptions, JournalWriter, RetryPolicy};
@@ -439,7 +439,7 @@ pub struct CampaignConfig {
     pub telemetry: Option<TelemetryConfig>,
     /// Numeric-chaos plan: deterministic arithmetic fault injection
     /// into each *fault* extraction's solver (pivot breakdowns, factor
-    /// perturbations, NaN solutions, rank-1 denominator poisoning).
+    /// perturbations, NaN solutions).
     /// Each fault arms a fresh firing state shared across its ladder
     /// rungs, so injection is a pure function of the fault's solve
     /// sequence and reports stay byte-identical at any worker count.
@@ -884,33 +884,6 @@ impl JournalState {
     }
 }
 
-/// The rank-1 reuse setup for one fault, if its faulty system is a
-/// rank-1 perturbation of the golden one: a [`FaultKind::Bridge`] on a
-/// circuit with no nonlinear devices adds exactly `g·w·wᵀ` (one
-/// resistor between the bridged nodes, no new unknowns), so faulty
-/// solves can reuse the golden factorisations via Sherman–Morrison.
-/// Everything else factorises normally.
-fn rank1_for(faulty: &Netlist, fault: &Fault, cache: &Arc<Rank1Cache>) -> Option<Rank1Setup> {
-    use crate::model::FaultKind;
-    if faulty.has_nonlinear_devices() || cache.is_empty() {
-        return None;
-    }
-    match fault.kind() {
-        FaultKind::Bridge { a, b } => {
-            let layout = MnaLayout::new(faulty);
-            Some(Rank1Setup::apply(
-                Arc::clone(cache),
-                Rank1Delta {
-                    pos: layout.node_index(a),
-                    neg: layout.node_index(b),
-                    conductance: 1.0 / fault.impedance(),
-                },
-            ))
-        }
-        _ => None,
-    }
-}
-
 /// Runs a fault campaign with the resilient engine.
 ///
 /// `extract` simulates a netlist under the given [`SolveSettings`] and
@@ -976,12 +949,6 @@ where
         }
         Arc::new(metrics)
     };
-    // The golden extraction *captures* every linear factorisation it
-    // computes into a shared cache, keyed by stamp parameters. The
-    // cache is frozen before any fault simulates, so lookups are
-    // deterministic regardless of worker scheduling — a prerequisite
-    // for byte-identical reports at any worker count.
-    let rank1_cache = Arc::new(Rank1Cache::new());
     let golden_settings = SolveSettings {
         rung: SolverRung::nominal(),
         budget: config.budget,
@@ -991,7 +958,6 @@ where
         profile: golden_profile.clone(),
         backend: config.backend,
         warm_start: None,
-        rank1: Some(Rank1Setup::capture(Arc::clone(&rank1_cache))),
         // The golden run always solves clean: chaos tests the recovery
         // ladder against faults, never the reference signature.
         numeric_chaos: None,
@@ -1000,7 +966,6 @@ where
     let golden_sig = extract(golden, &golden_settings)?;
     let golden_wall = golden_start.elapsed();
     let golden_solver = golden_metrics.snapshot();
-    rank1_cache.freeze();
 
     // Golden DC operating point, reused as the Newton seed for every
     // fault: injection appends hardware at the end of the netlist, so
@@ -1140,11 +1105,6 @@ where
 
     let simulate_fault = |fault: &Fault, lane: usize| -> Option<(FaultOutcome, FaultTelemetry)> {
         let faulty = inject(golden, fault);
-        // A bridge across a *linear* circuit perturbs the golden matrix
-        // by exactly `g·w·wᵀ` (one resistor, no new unknowns), so its
-        // solves can go through the golden factorisations via
-        // Sherman–Morrison instead of factorising the faulty matrix.
-        let rank1 = rank1_for(&faulty, fault, &rank1_cache);
         // One handle per fault, accumulated across ladder rungs. When
         // profiling is armed the profiler is fresh per fault too, so the
         // phase rollup in the telemetry is exact for this fault alone.
@@ -1190,7 +1150,6 @@ where
                 profile: profile.clone(),
                 backend: config.backend,
                 warm_start: warm_start.clone(),
-                rank1: rank1.clone(),
                 numeric_chaos: numeric_chaos.clone(),
             };
             // The extraction is the untrusted part of the engine: a
@@ -2477,12 +2436,11 @@ mod tests {
     }
 
     #[test]
-    fn linear_bridge_faults_reuse_golden_factorisations() {
-        use obs::profile::Phase;
-        // rc_fixture is linear, so its bridge faults are rank-1
-        // perturbations of the golden matrix: their solves should go
-        // through the golden factorisations via Sherman–Morrison
-        // instead of factorising the faulty matrix per timestep.
+    fn linear_bridge_faults_reuse_exact_factorisations() {
+        // rc_fixture is linear, so a bridge fault's matrix depends only
+        // on the stamp parameters: once factorised at a timestep size,
+        // every later timestep solves exactly through the cached
+        // factors instead of factorising the faulty matrix again.
         let (nl, faults) = rc_fixture();
         let config = CampaignConfig::new(0.05).profile(true);
         let report = run_campaign_with(&nl, &faults, &config, transient_extract).unwrap();
@@ -2492,11 +2450,6 @@ mod tests {
             t.solver.factor_reuse_hits > 0,
             "bridge fault never reused a factorisation: {:?}",
             t.solver
-        );
-        assert!(
-            t.solver.phases.calls(Phase::Rank1Update) > 0,
-            "no Sherman–Morrison updates attributed: {:?}",
-            t.solver.phases
         );
         // Reuse must far outnumber factorisations: the whole point is
         // that a faulty timestep costs back-substitutions, not LU.
@@ -2557,14 +2510,12 @@ mod tests {
     #[test]
     fn numeric_chaos_sweep_yields_typed_outcomes_and_hazard_counters() {
         // Every chaos site armed at once: a forced pivot breakdown on
-        // the first factorisation, a corrupted pivot on the second, a
-        // poisoned solution on the third, and a degenerate rank-1
-        // denominator on the first Sherman–Morrison attempt. The
-        // campaign must absorb all of it through the demotion ladder:
+        // the first factorisation, a corrupted pivot on the second and
+        // a poisoned solution on the third. The campaign must absorb
+        // all of it through the demotion ladder:
         // typed statuses only, no panic, no NaN anywhere in the report.
         let (nl, faults) = rc_fixture();
-        let plan =
-            obs::NumericChaosPlan::parse("pivot@0,perturb@1,nan@2,denom@0").expect("valid spec");
+        let plan = obs::NumericChaosPlan::parse("pivot@0,perturb@1,nan@2").expect("valid spec");
         let report = run_campaign_with(
             &nl,
             &faults,

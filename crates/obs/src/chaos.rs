@@ -354,19 +354,11 @@ pub enum NumericSite {
     /// Overwrite one solution entry with NaN (caught by the non-finite
     /// scrub).
     Nan,
-    /// Degrade the Sherman–Morrison rank-1 denominator (caught as a
-    /// rank-1 breakdown).
-    Denom,
 }
 
 impl NumericSite {
     /// Every site, in parse-grammar order.
-    pub const ALL: [NumericSite; 4] = [
-        NumericSite::Pivot,
-        NumericSite::Perturb,
-        NumericSite::Nan,
-        NumericSite::Denom,
-    ];
+    pub const ALL: [NumericSite; 3] = [NumericSite::Pivot, NumericSite::Perturb, NumericSite::Nan];
 
     /// Clause keyword and display label.
     pub fn name(self) -> &'static str {
@@ -374,7 +366,6 @@ impl NumericSite {
             NumericSite::Pivot => "pivot",
             NumericSite::Perturb => "perturb",
             NumericSite::Nan => "nan",
-            NumericSite::Denom => "denom",
         }
     }
 
@@ -383,7 +374,6 @@ impl NumericSite {
             NumericSite::Pivot => 0x70,
             NumericSite::Perturb => 0x65,
             NumericSite::Nan => 0x6e,
-            NumericSite::Denom => 0x64,
         }
     }
 
@@ -392,7 +382,6 @@ impl NumericSite {
             NumericSite::Pivot => 0,
             NumericSite::Perturb => 1,
             NumericSite::Nan => 2,
-            NumericSite::Denom => 3,
         }
     }
 }
@@ -406,7 +395,6 @@ impl NumericSite {
 /// pivot@0        the 1st factorisation attempt reports a breakdown
 /// perturb@2..4   factorisations 2,3 come out corrupted
 /// nan@1..        every solve from index 1 on gets a NaN entry
-/// denom@0        the 1st rank-1 application sees a degraded denominator
 /// seed@9:20      each site attempt fires with p=20% under seed 9
 /// ```
 ///
@@ -422,8 +410,6 @@ pub struct NumericChaosPlan {
     pub perturb: OpSchedule,
     /// Schedule for [`NumericSite::Nan`].
     pub nan: OpSchedule,
-    /// Schedule for [`NumericSite::Denom`].
-    pub denom: OpSchedule,
 }
 
 impl NumericChaosPlan {
@@ -434,10 +420,7 @@ impl NumericChaosPlan {
 
     /// True when the plan injects nothing, ever.
     pub fn is_empty(&self) -> bool {
-        self.pivot.is_empty()
-            && self.perturb.is_empty()
-            && self.nan.is_empty()
-            && self.denom.is_empty()
+        self.pivot.is_empty() && self.perturb.is_empty() && self.nan.is_empty()
     }
 
     fn schedule(&self, site: NumericSite) -> &OpSchedule {
@@ -445,7 +428,6 @@ impl NumericChaosPlan {
             NumericSite::Pivot => &self.pivot,
             NumericSite::Perturb => &self.perturb,
             NumericSite::Nan => &self.nan,
-            NumericSite::Denom => &self.denom,
         }
     }
 
@@ -454,7 +436,6 @@ impl NumericChaosPlan {
             NumericSite::Pivot => &mut self.pivot,
             NumericSite::Perturb => &mut self.perturb,
             NumericSite::Nan => &mut self.nan,
-            NumericSite::Denom => &mut self.denom,
         }
     }
 
@@ -497,7 +478,7 @@ impl NumericChaosPlan {
             } else {
                 return Err(format!(
                     "numeric-chaos clause `{clause}`: unknown kind `{kind}` \
-                     (expected pivot/perturb/nan/denom/seed)"
+                     (expected pivot/perturb/nan/seed)"
                 ));
             }
         }
@@ -525,8 +506,8 @@ impl NumericChaosPlan {
 #[derive(Debug, Default)]
 pub struct NumericChaosState {
     plan: NumericChaosPlan,
-    attempts: [std::sync::atomic::AtomicU64; 4],
-    injected: [std::sync::atomic::AtomicU64; 4],
+    attempts: [std::sync::atomic::AtomicU64; 3],
+    injected: [std::sync::atomic::AtomicU64; 3],
 }
 
 impl NumericChaosState {
@@ -551,9 +532,9 @@ impl NumericChaosState {
     }
 
     /// Per-site injection tallies, in [`NumericSite::ALL`] order.
-    pub fn injected_by_site(&self) -> [(&'static str, u64); 4] {
+    pub fn injected_by_site(&self) -> [(&'static str, u64); 3] {
         use std::sync::atomic::Ordering;
-        let mut out = [("", 0); 4];
+        let mut out = [("", 0); 3];
         for (slot, site) in out.iter_mut().zip(NumericSite::ALL) {
             *slot = (
                 site.name(),
@@ -650,7 +631,7 @@ mod tests {
 
     #[test]
     fn numeric_plan_parses_and_fires_one_shot() {
-        let plan = NumericChaosPlan::parse("pivot@0,nan@1..3,denom@2").unwrap();
+        let plan = NumericChaosPlan::parse("pivot@0,nan@1..3").unwrap();
         assert!(!plan.is_empty());
         let state = plan.arm();
         // pivot@0 fires exactly once: the retry lands on index 1.
@@ -666,8 +647,8 @@ mod tests {
         assert_eq!(state.injected(), 3);
         let by_site = state.injected_by_site();
         assert_eq!(by_site[0], ("pivot", 1));
+        assert_eq!(by_site[1], ("perturb", 0));
         assert_eq!(by_site[2], ("nan", 2));
-        assert_eq!(by_site[3], ("denom", 0));
         // A fresh state over the same plan replays identically.
         let replay = plan.arm();
         assert!(replay.fire(NumericSite::Pivot));
@@ -693,7 +674,9 @@ mod tests {
 
     #[test]
     fn numeric_parse_rejects_malformed_clauses() {
-        for bad in ["pivot", "pivot@x", "nan@5..3", "write@1", "seed@1:200"] {
+        // `denom` named a solver site that no longer exists: a spec
+        // still carrying it must fail, not silently inject nothing.
+        for bad in ["pivot", "pivot@x", "nan@5..3", "write@1", "seed@1:200", "denom@0"] {
             let err = NumericChaosPlan::parse(bad).unwrap_err();
             // Window/number errors come from the helpers shared with
             // FaultPlan, so the prefix is `chaos clause` there and
@@ -701,6 +684,9 @@ mod tests {
             assert!(err.contains("clause"), "{bad}: {err}");
             assert!(err.contains(bad), "{bad}: {err}");
         }
+        // An unknown site names the valid ones.
+        let err = NumericChaosPlan::parse("denom@0").unwrap_err();
+        assert!(err.contains("pivot/perturb/nan/seed"), "{err}");
         assert!(NumericChaosPlan::parse("").unwrap().is_empty());
         assert!(NumericChaosPlan::none().is_empty());
     }

@@ -3,10 +3,10 @@
 //! A [`PhaseProfiler`] splits a solve's wall time across a fixed
 //! [`Phase`] taxonomy (stamping, device evaluation, LU factorisation,
 //! back-substitution, residual/update, timestep control, DC homotopy
-//! control, symbolic analysis, numeric refactorisation, rank-1
-//! updates) with monotonic-clock accounting. Like
-//! `anasim::FlightRecorder`, arming is explicit and the disarmed path
-//! is an `Option` branch — no clock reads, no atomics.
+//! control, symbolic analysis, numeric refactorisation) with
+//! monotonic-clock accounting. Like `anasim::FlightRecorder`, arming is
+//! explicit and the disarmed path is an `Option` branch — no clock
+//! reads, no atomics.
 //!
 //! Attribution is **self-time**: a [`PhaseGuard`] subtracts the time
 //! spent in phases entered while it was open, so nesting never
@@ -130,14 +130,11 @@ pub enum Phase {
     /// factor cache held a factorisation for this structure already;
     /// [`Phase::Factor`] counts only first factorisations).
     Refactor,
-    /// Sherman–Morrison rank-1 update solves against a cached golden
-    /// factorisation (low-rank fault deltas in campaigns).
-    Rank1Update,
 }
 
 impl Phase {
     /// Number of phases; the length of [`Phase::ALL`].
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = 9;
 
     /// Phases that existed in the `mixsig.solver-bench/2` sidecar
     /// schema; `/2` documents carry exactly this prefix of the
@@ -155,7 +152,6 @@ impl Phase {
         Phase::DcSolve,
         Phase::Symbolic,
         Phase::Refactor,
-        Phase::Rank1Update,
     ];
 
     /// Stable snake_case label used in reports, the bench sidecar and
@@ -171,7 +167,6 @@ impl Phase {
             Phase::DcSolve => "dc_solve",
             Phase::Symbolic => "symbolic",
             Phase::Refactor => "refactor",
-            Phase::Rank1Update => "rank1_update",
         }
     }
 }
