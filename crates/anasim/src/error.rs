@@ -46,12 +46,12 @@ pub enum AnalysisError {
     /// campaign shutting down). Not a solver failure: the circuit may
     /// have been perfectly solvable.
     Cancelled,
-    /// A numerical hazard survived the entire tier-demotion ladder:
-    /// every recovery tier (cached factor, refactor, symbolic rebuild,
-    /// dense fallback) was tried and the hazard persisted. This is the
-    /// typed replacement for NaN-poisoned reports and panics.
+    /// A numerical hazard survived the solve's one refactor retry:
+    /// it struck again after the cached factors were dropped and the
+    /// system refactorised from scratch. This is the typed replacement
+    /// for NaN-poisoned reports and panics.
     Numerical {
-        /// The hazard kind that exhausted the ladder.
+        /// The hazard kind that struck twice.
         hazard: linsys::NumericalHazard,
         /// Simulation time in seconds at which it struck (0.0 for DC).
         time: f64,
@@ -98,7 +98,7 @@ impl fmt::Display for AnalysisError {
             AnalysisError::Cancelled => write!(f, "analysis cancelled by caller"),
             AnalysisError::Numerical { hazard, time } => write!(
                 f,
-                "numerical hazard {hazard} persisted through every recovery tier \
+                "numerical hazard {hazard} persisted through the refactor retry \
                  at t = {time:.3e} s"
             ),
         }

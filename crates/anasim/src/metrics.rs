@@ -26,7 +26,7 @@ use obs::Recorder;
 
 /// Counter names under which [`SolverSnapshot::emit_to`] publishes to a
 /// recorder, in emission order.
-pub const COUNTER_NAMES: [&str; 18] = [
+pub const COUNTER_NAMES: [&str; 15] = [
     "solver.newton_iterations",
     "solver.steps_accepted",
     "solver.steps_rejected",
@@ -40,50 +40,9 @@ pub const COUNTER_NAMES: [&str; 18] = [
     "solver.hazard.nonfinite",
     "solver.hazard.refinement_stall",
     "solver.hazard.ill_conditioned",
-    "solver.demote.stale",
     "solver.demote.refactor",
-    "solver.demote.symbolic",
-    "solver.demote.dense",
     "solver.refinement.rounds",
 ];
-
-/// The recovery tier the solver demoted *to* after a numerical hazard,
-/// ordered from cheapest to most expensive. The tiers mirror the
-/// factorisation-reuse ladder in `mna`: reuse a cached same-key factor
-/// as-is, numerically refactor in the existing symbolic structure,
-/// rebuild the symbolic analysis from scratch, and finally abandon the
-/// sparse backend for dense LU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DemotionTier {
-    /// Fall back to a cached (stale or same-key) factorisation.
-    Stale,
-    /// Force a numeric refactorisation of the current structure.
-    Refactor,
-    /// Rebuild the symbolic structure and refactor.
-    Symbolic,
-    /// Abandon the sparse backend for dense LU.
-    Dense,
-}
-
-impl DemotionTier {
-    /// Every tier, cheapest first.
-    pub const ALL: [DemotionTier; 4] = [
-        DemotionTier::Stale,
-        DemotionTier::Refactor,
-        DemotionTier::Symbolic,
-        DemotionTier::Dense,
-    ];
-
-    /// Stable lowercase label used in counters, markers and journals.
-    pub fn label(self) -> &'static str {
-        match self {
-            DemotionTier::Stale => "stale",
-            DemotionTier::Refactor => "refactor",
-            DemotionTier::Symbolic => "symbolic",
-            DemotionTier::Dense => "dense",
-        }
-    }
-}
 
 /// Live, thread-safe solver counters plus an optional span recorder.
 #[derive(Default)]
@@ -101,10 +60,7 @@ pub struct SolverMetrics {
     hazard_nonfinite: AtomicU64,
     hazard_refinement_stall: AtomicU64,
     hazard_ill_conditioned: AtomicU64,
-    demote_stale: AtomicU64,
     demote_refactor: AtomicU64,
-    demote_symbolic: AtomicU64,
-    demote_dense: AtomicU64,
     refinement_rounds: AtomicU64,
     recorder: Option<Arc<dyn Recorder>>,
     profile: Option<Arc<PhaseProfiler>>,
@@ -196,7 +152,7 @@ impl SolverMetrics {
     /// One numerical hazard of the given kind detected. Hazards are
     /// *detections*, not necessarily failures: advisory kinds
     /// (pivot-growth, ill-conditioned) are counted without forcing a
-    /// demotion, while the rest trigger the demotion ladder.
+    /// demotion, while the rest trigger the refactor retry.
     #[inline]
     pub fn hazard(&self, hazard: NumericalHazard) {
         let counter = match hazard {
@@ -209,16 +165,11 @@ impl SolverMetrics {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// One demotion onto the given recovery tier after a hazard.
+    /// One hazard answered by refactorising from scratch instead of
+    /// failing the solve (the solver's only demotion).
     #[inline]
-    pub fn demotion(&self, tier: DemotionTier) {
-        let counter = match tier {
-            DemotionTier::Stale => &self.demote_stale,
-            DemotionTier::Refactor => &self.demote_refactor,
-            DemotionTier::Symbolic => &self.demote_symbolic,
-            DemotionTier::Dense => &self.demote_dense,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+    pub fn demotion(&self) {
+        self.demote_refactor.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One round of iterative refinement executed (whether or not the
@@ -263,10 +214,7 @@ impl SolverMetrics {
             hazard_nonfinite: self.hazard_nonfinite.load(Ordering::Relaxed),
             hazard_refinement_stall: self.hazard_refinement_stall.load(Ordering::Relaxed),
             hazard_ill_conditioned: self.hazard_ill_conditioned.load(Ordering::Relaxed),
-            demote_stale: self.demote_stale.load(Ordering::Relaxed),
             demote_refactor: self.demote_refactor.load(Ordering::Relaxed),
-            demote_symbolic: self.demote_symbolic.load(Ordering::Relaxed),
-            demote_dense: self.demote_dense.load(Ordering::Relaxed),
             refinement_rounds: self.refinement_rounds.load(Ordering::Relaxed),
             phases: self.profile.as_ref().map(|p| p.snapshot()).unwrap_or_default(),
         }
@@ -304,14 +252,8 @@ pub struct SolverSnapshot {
     pub hazard_refinement_stall: u64,
     /// Condition estimates above the advisory threshold.
     pub hazard_ill_conditioned: u64,
-    /// Demotions onto a cached factorisation.
-    pub demote_stale: u64,
-    /// Demotions forcing a numeric refactorisation.
+    /// Hazards answered by a refactorisation instead of an error.
     pub demote_refactor: u64,
-    /// Demotions rebuilding the symbolic structure.
-    pub demote_symbolic: u64,
-    /// Demotions abandoning the sparse backend for dense LU.
-    pub demote_dense: u64,
     /// Iterative-refinement rounds executed.
     pub refinement_rounds: u64,
     /// Per-phase self-time nanoseconds and span counts from an attached
@@ -327,7 +269,7 @@ impl SolverSnapshot {
     /// recorder-facing [`COUNTER_NAMES`] are these with a `solver.`
     /// prefix. Keeping one authoritative name list next to the value
     /// list stops the two from drifting into positional magic.
-    pub const FIELDS: [&'static str; 18] = [
+    pub const FIELDS: [&'static str; 15] = [
         "newton_iterations",
         "steps_accepted",
         "steps_rejected",
@@ -341,10 +283,7 @@ impl SolverSnapshot {
         "hazard.nonfinite",
         "hazard.refinement_stall",
         "hazard.ill_conditioned",
-        "demote.stale",
         "demote.refactor",
-        "demote.symbolic",
-        "demote.dense",
         "refinement.rounds",
     ];
 
@@ -358,7 +297,7 @@ impl SolverSnapshot {
     }
 
     /// Counter values in [`COUNTER_NAMES`] order.
-    pub fn as_array(&self) -> [u64; 18] {
+    pub fn as_array(&self) -> [u64; 15] {
         [
             self.newton_iterations,
             self.steps_accepted,
@@ -373,10 +312,7 @@ impl SolverSnapshot {
             self.hazard_nonfinite,
             self.hazard_refinement_stall,
             self.hazard_ill_conditioned,
-            self.demote_stale,
             self.demote_refactor,
-            self.demote_symbolic,
-            self.demote_dense,
             self.refinement_rounds,
         ]
     }
@@ -394,15 +330,11 @@ impl SolverSnapshot {
         ]
     }
 
-    /// Demotion counters paired with their [`DemotionTier::label`]s, in
-    /// [`DemotionTier::ALL`] (cheapest-first) order.
-    pub fn demotions(&self) -> [(&'static str, u64); 4] {
-        [
-            ("stale", self.demote_stale),
-            ("refactor", self.demote_refactor),
-            ("symbolic", self.demote_symbolic),
-            ("dense", self.demote_dense),
-        ]
+    /// Demotion counters paired with their labels — the shape the
+    /// canonical `[… → demote …]` markers render from. Refactor is the
+    /// only demotion.
+    pub fn demotions(&self) -> [(&'static str, u64); 1] {
+        [("refactor", self.demote_refactor)]
     }
 }
 
@@ -425,10 +357,7 @@ impl Add for SolverSnapshot {
             hazard_nonfinite: self.hazard_nonfinite + rhs.hazard_nonfinite,
             hazard_refinement_stall: self.hazard_refinement_stall + rhs.hazard_refinement_stall,
             hazard_ill_conditioned: self.hazard_ill_conditioned + rhs.hazard_ill_conditioned,
-            demote_stale: self.demote_stale + rhs.demote_stale,
             demote_refactor: self.demote_refactor + rhs.demote_refactor,
-            demote_symbolic: self.demote_symbolic + rhs.demote_symbolic,
-            demote_dense: self.demote_dense + rhs.demote_dense,
             refinement_rounds: self.refinement_rounds + rhs.refinement_rounds,
             phases: self.phases + rhs.phases,
         }
@@ -462,7 +391,7 @@ mod tests {
         m.hazard(NumericalHazard::RefinementStall);
         m.hazard(NumericalHazard::NonFinite);
         m.hazard(NumericalHazard::NonFinite);
-        m.demotion(DemotionTier::Refactor);
+        m.demotion();
         m.refinement_round();
         let snap = m.snapshot();
         assert_eq!(snap.newton_iterations, 2);
@@ -477,7 +406,7 @@ mod tests {
         assert_eq!(snap.hazard_nonfinite, 2);
         assert_eq!(snap.hazard_near_singular_pivot, 0);
         assert_eq!(snap.demote_refactor, 1);
-        assert_eq!(snap.demote_dense, 0);
+        assert_eq!(snap.hazard_ill_conditioned, 0);
         assert_eq!(snap.refinement_rounds, 1);
     }
 
@@ -487,9 +416,7 @@ mod tests {
         for h in NumericalHazard::ALL {
             m.hazard(h);
         }
-        for t in DemotionTier::ALL {
-            m.demotion(t);
-        }
+        m.demotion();
         let snap = m.snapshot();
         for (label, count) in snap.hazards() {
             assert_eq!(count, 1, "hazard {label}");
@@ -497,13 +424,11 @@ mod tests {
         for (label, count) in snap.demotions() {
             assert_eq!(count, 1, "demotion {label}");
         }
-        // The label pairing matches the authoritative enums.
+        // The label pairing matches the authoritative enum.
         for ((label, _), h) in snap.hazards().iter().zip(NumericalHazard::ALL) {
             assert_eq!(*label, h.label());
         }
-        for ((label, _), t) in snap.demotions().iter().zip(DemotionTier::ALL) {
-            assert_eq!(*label, t.label());
-        }
+        assert_eq!(snap.demotions(), [("refactor", 1)]);
     }
 
     #[test]
@@ -565,16 +490,13 @@ mod tests {
             hazard_nonfinite: 11,
             hazard_refinement_stall: 12,
             hazard_ill_conditioned: 13,
-            demote_stale: 14,
-            demote_refactor: 15,
-            demote_symbolic: 16,
-            demote_dense: 17,
-            refinement_rounds: 18,
+            demote_refactor: 14,
+            refinement_rounds: 15,
             ..SolverSnapshot::default()
         };
         assert_eq!(
             snap.as_array(),
-            [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18]
+            [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]
         );
         let rec = AggregatingRecorder::new();
         snap.emit_to(&rec);

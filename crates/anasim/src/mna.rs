@@ -6,10 +6,11 @@ use std::sync::Arc;
 use crate::dense::Matrix;
 use crate::devices::{Device, MosPolarity};
 use crate::flight::SolveHooks;
-use crate::metrics::DemotionTier;
 use crate::netlist::{DeviceId, Netlist, NodeId};
 use crate::robust::BudgetClock;
-use crate::solver::{FactorKey, MnaMatrix, PositionProbe, SolverContext, SystemMatrix};
+use crate::solver::{
+    FactorKey, LinearFactor, MnaMatrix, PositionProbe, SolverContext, SystemMatrix,
+};
 use crate::AnalysisError;
 use linsys::sparse::{SparseMatrix, SparseStructure};
 use linsys::{refine_once, NumericalHazard, SingularMatrixError};
@@ -537,10 +538,11 @@ impl Default for NewtonOptions {
 /// # Errors
 ///
 /// Returns [`AnalysisError::NoConvergence`] after `max_iterations`,
-/// [`AnalysisError::SingularMatrix`] if the Jacobian cannot be factored,
-/// [`AnalysisError::Numerical`] when a solve fails its acceptance gate
-/// after every recovery rung, or [`AnalysisError::BudgetExceeded`] when
-/// the clock's wall-clock ceiling is crossed.
+/// [`AnalysisError::SingularMatrix`] if the Jacobian cannot be factored
+/// even on the refactor retry, [`AnalysisError::Numerical`] when a
+/// failed acceptance gate or a non-finite update survives that retry,
+/// or [`AnalysisError::BudgetExceeded`] when the clock's wall-clock
+/// ceiling is crossed.
 #[allow(clippy::too_many_arguments)]
 pub fn newton_solve(
     netlist: &Netlist,
@@ -661,7 +663,7 @@ const COND_LIMIT: f64 = 1e14;
 /// (~1e-13 of scale), so 1e-8 leaves four orders of margin while still
 /// catching a corrupted factor, a stale structure or a poisoned
 /// right-hand side. Failures take one round of
-/// iterative refinement before the tier demotes.
+/// iterative refinement before the solve counts as a hazard.
 const RESID_GATE_TOL: f64 = 1e-8;
 
 /// Counts a hazard and appends it to the flight-recorder history.
@@ -671,23 +673,6 @@ fn note_hazard(hooks: &SolveHooks<'_>, hazard: NumericalHazard, action: &str, ti
     }
     if let Some(flight) = hooks.flight {
         flight.record_hazard(hazard.label(), action, time);
-    }
-}
-
-/// Counts a demotion to `tier`.
-fn note_demotion(hooks: &SolveHooks<'_>, tier: DemotionTier) {
-    if let Some(metrics) = hooks.metrics {
-        metrics.demotion(tier);
-    }
-}
-
-/// Flight-recorder action string for a demotion to `tier`.
-fn demote_action(tier: DemotionTier) -> &'static str {
-    match tier {
-        DemotionTier::Stale => "demote:stale",
-        DemotionTier::Refactor => "demote:refactor",
-        DemotionTier::Symbolic => "demote:symbolic",
-        DemotionTier::Dense => "demote:dense",
     }
 }
 
@@ -735,7 +720,6 @@ fn ensure_system(
         ctx.structures = [None, None];
         ctx.sys = None;
         ctx.factor = None;
-        ctx.force_refactor = false;
         ctx.stale_iters = 0;
         ctx.b.resize(n, 0.0);
         ctx.x_new.resize(n, 0.0);
@@ -782,17 +766,26 @@ fn ensure_system(
 /// The damped Newton loop behind [`newton_solve`], with phase
 /// boundaries marked on the caller's [`LapTimer`].
 ///
-/// Per iteration the loop restores the linear-baseline stamp snapshot
-/// (first iteration of a solve assembles and captures it), stamps the
-/// nonlinear devices on top, then picks a linear-solve tier:
+/// Each iteration restores the linear-baseline stamp snapshot (the
+/// first iteration of a solve assembles and captures it), stamps the
+/// nonlinear devices on top, and then makes one factor choice:
 ///
-/// 1. **Cached factorisation** (key matches, not forced): linear
-///    netlists solve directly; nonlinear ones take a modified-Newton
-///    step in residual form `x_new = x − M⁻¹(A(x)·x − b(x))` against
-///    the stale factors.
-/// 2. **(Re)factorisation** otherwise, attributed to
-///    [`Phase::Factor`] on a fresh key and [`Phase::Refactor`] when the
-///    reuse policy retired a same-key factorisation.
+/// 1. **Exact** (linear netlist, cached key): [`exact_solve`] against
+///    the cached factors; the answer is returned once it passes
+///    [`gated_solve`].
+/// 2. **Stale** (nonlinear netlist, cached key, within
+///    [`STALE_ITER_CAP`] and outside a distrust window):
+///    [`stale_trial`], a modified-Newton step against the cached
+///    factors, kept only if it contracts the update.
+/// 3. **Refactor** otherwise, or when either of the above fails:
+///    [`refactor_solve`], attributed to [`Phase::Factor`] on a fresh
+///    key and [`Phase::Refactor`] on a same-key refactorisation.
+///
+/// A hazard that spoils the iteration — a failed factorisation, a
+/// fresh linear solve that misses its gate, a non-finite update — goes
+/// through [`retry_or_fail`]: the first costs one refactor retry, the
+/// second returns the typed error. Otherwise the damped update
+/// ([`damped_update`]) moves the iterate and tests convergence.
 ///
 /// The stale policy is deterministic and depends only on quantities
 /// that are bit-identical across backends (`worst` update magnitudes),
@@ -811,47 +804,35 @@ fn newton_iterate(
 ) -> Result<(), AnalysisError> {
     let nv = layout.node_count() - 1;
     let key = factor_key(params);
+    let time = params.time;
 
     ensure_system(ctx, netlist, layout, x, params, lap.as_deref_mut());
 
-    // Flight records need the attempted step size; DC solves carry 0.
-    let dt = match &params.companion {
-        CompanionMode::Dc => 0.0,
-        CompanionMode::Transient { dt, .. } => *dt,
+    // Flight records need the attempted step size (0 for DC). Stale
+    // steps of a DC solve stop against a tightened tolerance (see
+    // STALE_TOL_SCALE_DC) and a stricter contraction guard.
+    let (dt, stale_tol_scale, stale_contraction) = match &params.companion {
+        CompanionMode::Dc => (0.0, STALE_TOL_SCALE_DC, STALE_CONTRACTION_DC),
+        CompanionMode::Transient { dt, .. } => (*dt, 1.0, STALE_CONTRACTION),
     };
 
     // Linear circuits need exactly one solve.
     let linear = !netlist.has_nonlinear_devices();
 
-    // Stale steps of a DC solve stop against a tightened tolerance (see
-    // STALE_TOL_SCALE_DC); transient steps use the plain tolerance.
-    let stale_tol_scale = match &params.companion {
-        CompanionMode::Dc => STALE_TOL_SCALE_DC,
-        CompanionMode::Transient { .. } => 1.0,
-    };
-    let stale_contraction = match &params.companion {
-        CompanionMode::Dc => STALE_CONTRACTION_DC,
-        CompanionMode::Transient { .. } => STALE_CONTRACTION,
-    };
-
     // One solve has begun: age the distrust window. While it is open,
     // the first iteration refactorises instead of trialling the cached
-    // factors (the gate below), because a just-failed contraction guard
-    // says the circuit is moving too fast for the stale Jacobian.
+    // factors, because a just-failed contraction guard says the circuit
+    // is moving too fast for the stale Jacobian.
     ctx.distrust = ctx.distrust.saturating_sub(1);
 
     let mut worst = f64::INFINITY;
     let mut prev_worst = f64::INFINITY;
     let mut baseline_ready = false;
-    // Per-solve recovery latches: each rung of the demotion ladder may
-    // fire once per `newton_iterate` call, so recovery work stays
-    // bounded and a persistent hazard reaches its typed error promptly.
-    let mut demoted: u8 = 0;
-    let mut fresh_retry = false;
-    let mut nonfinite_retry = false;
-    'newton: for iter in 0..options.max_iterations {
+    // Per-solve recovery latch (see `retry_or_fail`).
+    let mut retried = false;
+    for iter in 0..options.max_iterations {
         if let Some(clock) = clock {
-            clock.check_wall(params.time)?;
+            clock.check_wall(time)?;
         }
         if let Some(metrics) = hooks.metrics {
             metrics.newton_iteration();
@@ -890,351 +871,347 @@ fn newton_iterate(
             }
         }
 
-        let mut cached = !ctx.force_refactor && matches!(&ctx.factor, Some((k, _)) if *k == key);
-        let mut stale_accepted = false;
-        let mut stale_rejected = false;
-        if cached && linear {
-            // The matrix is exactly the one the factorisation was
-            // computed from (linear stamps depend only on the key), so
-            // the cached solve is exact — but the factors are still a
-            // reused tier, so the acceptance gate (plus one refinement
-            // round) must pass before the solve is returned.
-            let (_, factor) = ctx.factor.as_ref().expect("cached factor present");
-            factor.solve_into(&ctx.b, &mut ctx.x_new);
-            if let Some(l) = lap.as_deref_mut() {
-                l.lap(Phase::BackSubstitute);
-            }
-            let (_, sys) = ctx.sys.as_ref().expect("system prepared");
-            let (rnorm, scale) = sys.residual_gate_into(&ctx.x_new, &ctx.b, &mut ctx.resid);
-            let mut accepted = rnorm <= RESID_GATE_TOL * scale;
-            if !accepted {
-                if let Some(metrics) = hooks.metrics {
-                    metrics.refinement_round();
-                }
-                let b = &ctx.b;
-                let out = refine_once(
-                    &mut ctx.x_new,
-                    &mut ctx.resid,
-                    &mut ctx.scratch,
-                    &mut ctx.trial,
-                    |xv, out| sys.residual_into(xv, b, out),
-                    |r, out| factor.solve_into(r, out),
-                );
-                accepted = out.residual_after <= RESID_GATE_TOL * scale;
-            }
-            if accepted {
-                if let Some(metrics) = hooks.metrics {
-                    metrics.factor_reuse_hit();
-                }
+        // Factor choice: exact cached solve, stale trial, or refactor.
+        let cached = matches!(&ctx.factor, Some((k, _)) if *k == key);
+        let stale = if cached && linear {
+            if exact_solve(ctx, hooks, time, lap.as_deref_mut()) {
                 x.clear();
                 x.extend_from_slice(&ctx.x_new);
                 return Ok(());
             }
-            // The cached factors failed their gate even after
-            // refinement: retire them so this iteration refactorises.
-            note_demotion(hooks, DemotionTier::Refactor);
-            note_hazard(
-                hooks,
-                NumericalHazard::RefinementStall,
-                demote_action(DemotionTier::Refactor),
-                params.time,
-            );
-            cached = false;
-        }
-        if cached && ctx.stale_iters < STALE_ITER_CAP && (iter > 0 || ctx.distrust == 0) {
-            // Tier 1: trial modified-Newton step in residual form
-            // against the stale factors: x_new = x − M⁻¹(A(x)·x − b(x)).
-            // The step is only *accepted* if it keeps contracting the
-            // update; otherwise this iteration refactorises below, so a
-            // stale Jacobian can never push the iterate off course.
-            // Inside a distrust window the first iteration skips the
-            // trial outright — after a recent rejection the odds of the
-            // cached Jacobian carrying a brand-new solve are poor, and a
-            // doomed trial costs an assembly and two back-substitutions.
-            let (_, factor) = ctx.factor.as_ref().expect("cached factor present");
-            let (_, sys) = ctx.sys.as_ref().expect("system prepared");
-            sys.residual_into(x, &ctx.b, &mut ctx.resid);
-            factor.solve_into(&ctx.resid, &mut ctx.scratch);
-            for (slot, (xk, step)) in ctx.x_new.iter_mut().zip(x.iter().zip(&ctx.scratch)) {
-                *slot = xk - step;
-            }
-            if let Some(l) = lap.as_deref_mut() {
-                l.lap(Phase::BackSubstitute);
-            }
-            let mut candidate_worst: f64 = 0.0;
-            for (xn, xk) in ctx.x_new.iter().zip(x.iter()) {
-                let d = (xn - xk).abs();
-                if !d.is_finite() {
-                    candidate_worst = f64::INFINITY;
-                    break;
-                }
-                if d > candidate_worst {
-                    candidate_worst = d;
-                }
-            }
-            if candidate_worst < stale_contraction * prev_worst {
-                if let Some(metrics) = hooks.metrics {
-                    metrics.factor_reuse_hit();
-                }
-                ctx.stale_iters += 1;
-                stale_accepted = true;
-            } else {
-                stale_rejected = true;
-            }
-        }
-        if !stale_accepted {
-            // Tier 2: (re)factorise at the current iterate.
-            if stale_rejected {
-                // The contraction guard just retired these factors: open
-                // a distrust window so the next few solves go straight
-                // to a fresh Jacobian instead of repeating the trial.
-                ctx.distrust = DISTRUST_SOLVES;
-            }
-            if let Some(metrics) = hooks.metrics {
-                metrics.factor_reuse_miss();
-            }
-            let same_key = matches!(&ctx.factor, Some((k, _)) if *k == key);
-            let reuse = ctx.factor.take().map(|(_, f)| f);
-            let (_, sys) = ctx.sys.as_ref().expect("system prepared");
-            // Numeric-chaos hook: a forced pivot breakdown walks the
-            // demotion ladder exactly as a genuinely unfactorable
-            // system would, without needing one in the netlist.
-            let factored = if hooks.chaos.is_some_and(|c| c.fire(NumericSite::Pivot)) {
-                Err(SingularMatrixError { row: 0 })
-            } else {
-                sys.factor(&mut ctx.ws, reuse)
-            };
-            let mut factor = match factored {
-                Ok(f) => f,
-                Err(err) => {
-                    ctx.force_refactor = false;
-                    ctx.stale_iters = 0;
-                    // Demotion ladder for a failed factorisation:
-                    // rebuild the symbolic structure (a stale pattern
-                    // can starve the numeric phase of the positions it
-                    // needs), then abandon the sparse backend for dense
-                    // LU (partial pivoting over the full column), then
-                    // give up with the typed error. Each rung consumes
-                    // one Newton iteration of budget, so a genuinely
-                    // singular system still terminates promptly.
-                    let tier = match (demoted, ctx.backend) {
-                        (0, crate::solver::Backend::Sparse) => Some(DemotionTier::Symbolic),
-                        (1, crate::solver::Backend::Sparse) => Some(DemotionTier::Dense),
-                        _ => None,
-                    };
-                    match tier {
-                        Some(tier) => {
-                            demoted = if tier == DemotionTier::Dense { 2 } else { 1 };
-                            if tier == DemotionTier::Dense {
-                                ctx.backend = crate::solver::Backend::Dense;
-                            }
-                            note_demotion(hooks, tier);
-                            note_hazard(
-                                hooks,
-                                NumericalHazard::NearSingularPivot,
-                                demote_action(tier),
-                                params.time,
-                            );
-                            ctx.structures = [None, None];
-                            ctx.sys = None;
-                            ctx.factor = None;
-                            ensure_system(ctx, netlist, layout, x, params, lap.as_deref_mut());
-                            baseline_ready = false;
-                            continue 'newton;
-                        }
-                        None => {
-                            note_hazard(
-                                hooks,
-                                NumericalHazard::NearSingularPivot,
-                                "terminal",
-                                params.time,
-                            );
-                            return Err(err.into());
-                        }
-                    }
-                }
-            };
-            if let Some(l) = lap.as_deref_mut() {
-                l.lap(if same_key {
-                    Phase::Refactor
-                } else {
-                    Phase::Factor
-                });
-            }
-            // Numeric-chaos hook: corrupting a pivot hands the
-            // acceptance gate a realistically-wrong factorisation.
-            if hooks.chaos.is_some_and(|c| c.fire(NumericSite::Perturb)) {
-                factor.chaos_perturb_pivot(1.5);
-            }
-            // Advisory hazards on fresh factorisations: flagged for
-            // diagnosis, never demoted on — the acceptance gates and
-            // Newton's own convergence tests decide whether the answer
-            // stands; the counters tell the postmortem why it may not.
-            if factor.pivot_growth() > GROWTH_LIMIT {
-                note_hazard(hooks, NumericalHazard::PivotGrowth, "advisory", params.time);
-            }
-            if !same_key && factor.condest(sys.norm_one()) > COND_LIMIT {
-                note_hazard(
-                    hooks,
-                    NumericalHazard::IllConditioned,
-                    "advisory",
-                    params.time,
-                );
-            }
-            factor.solve_into(&ctx.b, &mut ctx.x_new);
-            if let Some(l) = lap.as_deref_mut() {
-                l.lap(Phase::BackSubstitute);
-            }
-            // Numeric-chaos hook: a poisoned solution exercises the
-            // non-finite scrub downstream of every fresh solve.
-            if hooks.chaos.is_some_and(|c| c.fire(NumericSite::Nan)) {
-                ctx.x_new[0] = f64::NAN;
+            false
+        } else if cached && ctx.stale_iters < STALE_ITER_CAP && (iter > 0 || ctx.distrust == 0) {
+            let bound = stale_contraction * prev_worst;
+            stale_trial(ctx, x, bound, hooks, lap.as_deref_mut())
+        } else {
+            false
+        };
+        if !stale {
+            if let Err((hazard, error)) =
+                refactor_solve(ctx, key, linear, hooks, time, lap.as_deref_mut())
+            {
+                retry_or_fail(hooks, ctx, &mut retried, hazard, error, time)?;
+                continue;
             }
             if linear {
-                // A linear solve returns this answer directly, so even
-                // a fresh factorisation proves it first: the gate is
-                // what turns a corrupted factor or a poisoned solution
-                // into a typed hazard instead of a silent wrong report.
-                let (rnorm, scale) = sys.residual_gate_into(&ctx.x_new, &ctx.b, &mut ctx.resid);
-                let mut accepted = rnorm <= RESID_GATE_TOL * scale;
-                if !accepted {
-                    if let Some(metrics) = hooks.metrics {
-                        metrics.refinement_round();
-                    }
-                    let b = &ctx.b;
-                    let out = refine_once(
-                        &mut ctx.x_new,
-                        &mut ctx.resid,
-                        &mut ctx.scratch,
-                        &mut ctx.trial,
-                        |xv, out| sys.residual_into(xv, b, out),
-                        |r, out| factor.solve_into(r, out),
-                    );
-                    accepted = out.residual_after <= RESID_GATE_TOL * scale;
-                }
-                if !accepted {
-                    let hazard = if rnorm.is_finite() {
-                        NumericalHazard::RefinementStall
-                    } else {
-                        NumericalHazard::NonFinite
-                    };
-                    ctx.invalidate();
-                    if !fresh_retry {
-                        // One retry from a full refactorisation: a
-                        // transiently corrupted factor or solution is
-                        // repaired; a persistent hazard lands on the
-                        // typed error below.
-                        fresh_retry = true;
-                        ctx.force_refactor = true;
-                        note_demotion(hooks, DemotionTier::Refactor);
-                        note_hazard(
-                            hooks,
-                            hazard,
-                            demote_action(DemotionTier::Refactor),
-                            params.time,
-                        );
-                        baseline_ready = false;
-                        continue 'newton;
-                    }
-                    note_hazard(hooks, hazard, "terminal", params.time);
-                    return Err(AnalysisError::Numerical {
-                        hazard,
-                        time: params.time,
-                    });
-                }
-                ctx.factor = Some((key, factor));
-                ctx.force_refactor = false;
-                ctx.stale_iters = 0;
                 x.clear();
                 x.extend_from_slice(&ctx.x_new);
                 return Ok(());
             }
-            ctx.factor = Some((key, factor));
-            ctx.force_refactor = false;
-            ctx.stale_iters = 0;
         }
 
-        // Damped update with convergence check.
-        worst = 0.0;
-        let mut worst_index = 0;
-        let mut converged = true;
-        for (k, (xk, xn)) in x.iter_mut().zip(ctx.x_new.iter()).enumerate() {
-            let mut delta = xn - *xk;
-            if !delta.is_finite() {
+        let tol_scale = if stale { stale_tol_scale } else { 1.0 };
+        match damped_update(x, &ctx.x_new, nv, options, tol_scale) {
+            Ok((converged, step, step_index)) => {
+                worst = step;
+                if let Some(l) = lap.as_deref_mut() {
+                    l.lap(Phase::Residual);
+                }
                 if let Some(flight) = hooks.flight {
-                    flight.record_iteration(
-                        params.time,
-                        dt,
-                        (iter + 1) as u64,
-                        f64::INFINITY,
-                        k,
-                    );
+                    flight.record_iteration(time, dt, (iter + 1) as u64, worst, step_index);
                 }
-                ctx.invalidate();
-                if !nonfinite_retry {
-                    // One demotion retry from a fresh factorisation at
-                    // the last finite iterate: a transient overflow (a
-                    // bad stale step, a corrupted factor) is repaired;
-                    // a genuinely divergent system fails again and
-                    // lands on the typed hazard below.
-                    nonfinite_retry = true;
-                    ctx.force_refactor = true;
-                    note_demotion(hooks, DemotionTier::Refactor);
-                    note_hazard(
-                        hooks,
-                        NumericalHazard::NonFinite,
-                        demote_action(DemotionTier::Refactor),
-                        params.time,
-                    );
-                    baseline_ready = false;
-                    continue 'newton;
+                if converged {
+                    return Ok(());
                 }
-                note_hazard(hooks, NumericalHazard::NonFinite, "terminal", params.time);
-                return Err(AnalysisError::Numerical {
-                    hazard: NumericalHazard::NonFinite,
-                    time: params.time,
-                });
+                prev_worst = worst;
             }
-            let (abstol, limit) = if k < nv {
-                (options.vabstol, options.vstep_limit)
-            } else {
-                (options.iabstol, f64::INFINITY)
-            };
-            let tol_scale = if stale_accepted { stale_tol_scale } else { 1.0 };
-            if delta.abs() > tol_scale * (abstol + options.reltol * xn.abs()) {
-                converged = false;
+            Err(bad_index) => {
+                if let Some(flight) = hooks.flight {
+                    flight.record_iteration(time, dt, (iter + 1) as u64, f64::INFINITY, bad_index);
+                }
+                // A transient overflow (a bad stale step, a corrupted
+                // factor) is repaired from a fresh factorisation at the
+                // partially updated iterate; a genuinely divergent
+                // system fails again.
+                let hazard = NumericalHazard::NonFinite;
+                let error = AnalysisError::Numerical { hazard, time };
+                retry_or_fail(hooks, ctx, &mut retried, hazard, error, time)?;
             }
-            if delta.abs() > worst {
-                worst = delta.abs();
-                worst_index = k;
-            }
-            if delta.abs() > limit {
-                delta = limit.copysign(delta);
-            }
-            *xk += delta;
         }
-        if let Some(l) = lap.as_deref_mut() {
-            l.lap(Phase::Residual);
-        }
-        if let Some(flight) = hooks.flight {
-            flight.record_iteration(params.time, dt, (iter + 1) as u64, worst, worst_index);
-        }
-        if converged {
-            return Ok(());
-        }
-        prev_worst = worst;
     }
     ctx.invalidate();
     Err(AnalysisError::NoConvergence {
-        time: params.time,
+        time,
         residual: worst,
         iterations: options.max_iterations,
     })
 }
 
+/// Solves a linear netlist against its cached factors into
+/// `ctx.x_new`. The matrix is exactly the one they were computed from
+/// (linear stamps depend only on the key), so the solve is exact, but
+/// the factors are still reused: the answer stands only if it passes
+/// [`gated_solve`]. A failing solve counts as a demotion and the
+/// caller refactorises in the same iteration.
+fn exact_solve(
+    ctx: &mut SolverContext,
+    hooks: &SolveHooks<'_>,
+    time: f64,
+    lap: Option<&mut LapTimer>,
+) -> bool {
+    let (key, factor) = ctx.factor.take().expect("cached factor present");
+    factor.solve_into(&ctx.b, &mut ctx.x_new);
+    if let Some(l) = lap {
+        l.lap(Phase::BackSubstitute);
+    }
+    let gate = gated_solve(ctx, &factor, hooks);
+    ctx.factor = Some((key, factor));
+    match gate {
+        Ok(()) => {
+            if let Some(metrics) = hooks.metrics {
+                metrics.factor_reuse_hit();
+            }
+            true
+        }
+        Err(hazard) => {
+            if let Some(metrics) = hooks.metrics {
+                metrics.demotion();
+            }
+            note_hazard(hooks, hazard, "demote:refactor", time);
+            false
+        }
+    }
+}
+
+/// Trial modified-Newton step in residual form against the cached
+/// (stale) factors: `x_new = x − M⁻¹(A(x)·x − b(x))` into `ctx.x_new`.
+/// The step is accepted only if its largest update stays below `bound`
+/// (the contraction guard), so a stale Jacobian can never push the
+/// iterate off course; the caller then refactorises instead.
+fn stale_trial(
+    ctx: &mut SolverContext,
+    x: &[f64],
+    bound: f64,
+    hooks: &SolveHooks<'_>,
+    lap: Option<&mut LapTimer>,
+) -> bool {
+    let (_, factor) = ctx.factor.as_ref().expect("cached factor present");
+    let (_, sys) = ctx.sys.as_ref().expect("system prepared");
+    sys.residual_into(x, &ctx.b, &mut ctx.resid);
+    factor.solve_into(&ctx.resid, &mut ctx.scratch);
+    for (slot, (xk, d)) in ctx.x_new.iter_mut().zip(x.iter().zip(&ctx.scratch)) {
+        *slot = xk - d;
+    }
+    if let Some(l) = lap {
+        l.lap(Phase::BackSubstitute);
+    }
+    let mut step: f64 = 0.0;
+    for (xn, xk) in ctx.x_new.iter().zip(x) {
+        let moved = (xn - xk).abs();
+        if !moved.is_finite() {
+            step = f64::INFINITY;
+            break;
+        }
+        if moved > step {
+            step = moved;
+        }
+    }
+    if step >= bound {
+        // The contraction guard just retired these factors: open a
+        // distrust window so the next few solves go straight to a
+        // fresh Jacobian instead of repeating the trial.
+        ctx.distrust = DISTRUST_SOLVES;
+        return false;
+    }
+    if let Some(metrics) = hooks.metrics {
+        metrics.factor_reuse_hit();
+    }
+    ctx.stale_iters += 1;
+    true
+}
+
+/// Factorises the assembled system at the current iterate, solves it
+/// into `ctx.x_new` and caches the factors under `key`. The previous
+/// factorisation's allocations are recycled. A linear netlist's solve
+/// is returned to the caller as the answer, so it must pass
+/// [`gated_solve`] first: the gate is what turns a corrupted factor or
+/// a poisoned solution into a typed hazard instead of a silent wrong
+/// report.
+///
+/// # Errors
+///
+/// The hazard and typed error of a failed factorisation
+/// ([`AnalysisError::SingularMatrix`]) or a failed gate
+/// ([`AnalysisError::Numerical`]), for [`retry_or_fail`].
+fn refactor_solve(
+    ctx: &mut SolverContext,
+    key: FactorKey,
+    linear: bool,
+    hooks: &SolveHooks<'_>,
+    time: f64,
+    mut lap: Option<&mut LapTimer>,
+) -> Result<(), (NumericalHazard, AnalysisError)> {
+    if let Some(metrics) = hooks.metrics {
+        metrics.factor_reuse_miss();
+    }
+    let same_key = matches!(&ctx.factor, Some((k, _)) if *k == key);
+    let reuse = ctx.factor.take().map(|(_, f)| f);
+    ctx.stale_iters = 0;
+    let (_, sys) = ctx.sys.as_ref().expect("system prepared");
+    // Numeric-chaos hook: a forced pivot breakdown takes the same
+    // recovery path as a genuinely unfactorable system would, without
+    // needing one in the netlist.
+    let factored = if hooks.chaos.is_some_and(|c| c.fire(NumericSite::Pivot)) {
+        Err(SingularMatrixError { row: 0 })
+    } else {
+        sys.factor(&mut ctx.ws, reuse)
+    };
+    let mut factor =
+        factored.map_err(|err| (NumericalHazard::NearSingularPivot, AnalysisError::from(err)))?;
+    if let Some(l) = lap.as_deref_mut() {
+        l.lap(if same_key {
+            Phase::Refactor
+        } else {
+            Phase::Factor
+        });
+    }
+    // Numeric-chaos hook: corrupting a pivot hands the acceptance gate
+    // a realistically-wrong factorisation.
+    if hooks.chaos.is_some_and(|c| c.fire(NumericSite::Perturb)) {
+        factor.chaos_perturb_pivot(1.5);
+    }
+    // Advisory hazards on fresh factorisations: flagged for diagnosis,
+    // never retried on — the acceptance gates and Newton's own
+    // convergence tests decide whether the answer stands; the counters
+    // tell the postmortem why it may not.
+    if factor.pivot_growth() > GROWTH_LIMIT {
+        note_hazard(hooks, NumericalHazard::PivotGrowth, "advisory", time);
+    }
+    if !same_key && factor.condest(sys.norm_one()) > COND_LIMIT {
+        note_hazard(hooks, NumericalHazard::IllConditioned, "advisory", time);
+    }
+    factor.solve_into(&ctx.b, &mut ctx.x_new);
+    if let Some(l) = lap {
+        l.lap(Phase::BackSubstitute);
+    }
+    // Numeric-chaos hook: a poisoned solution exercises the non-finite
+    // checks downstream of every fresh solve.
+    if hooks.chaos.is_some_and(|c| c.fire(NumericSite::Nan)) {
+        ctx.x_new[0] = f64::NAN;
+    }
+    if linear {
+        gated_solve(ctx, &factor, hooks)
+            .map_err(|hazard| (hazard, AnalysisError::Numerical { hazard, time }))?;
+    }
+    ctx.factor = Some((key, factor));
+    Ok(())
+}
+
+/// The acceptance gate for a solve returned straight to the caller:
+/// `ctx.x_new` passes when its true residual is below
+/// [`RESID_GATE_TOL`] of the componentwise scale, after one round of
+/// iterative refinement against `factor` if the first check misses.
+///
+/// # Errors
+///
+/// The hazard a failing solve raises: non-finite when the residual
+/// was, a refinement stall otherwise.
+fn gated_solve(
+    ctx: &mut SolverContext,
+    factor: &LinearFactor,
+    hooks: &SolveHooks<'_>,
+) -> Result<(), NumericalHazard> {
+    let (_, sys) = ctx.sys.as_ref().expect("system prepared");
+    let (rnorm, scale) = sys.residual_gate_into(&ctx.x_new, &ctx.b, &mut ctx.resid);
+    if rnorm <= RESID_GATE_TOL * scale {
+        return Ok(());
+    }
+    if let Some(metrics) = hooks.metrics {
+        metrics.refinement_round();
+    }
+    let b = &ctx.b;
+    let out = refine_once(
+        &mut ctx.x_new,
+        &mut ctx.resid,
+        &mut ctx.scratch,
+        &mut ctx.trial,
+        |xv, out| sys.residual_into(xv, b, out),
+        |r, out| factor.solve_into(r, out),
+    );
+    if out.residual_after <= RESID_GATE_TOL * scale {
+        Ok(())
+    } else if rnorm.is_finite() {
+        Err(NumericalHazard::RefinementStall)
+    } else {
+        Err(NumericalHazard::NonFinite)
+    }
+}
+
+/// The one recovery path for a hazard that spoils a Newton iteration.
+/// The cached factors are dropped either way. The first hazard of a
+/// solve is counted as a demotion and costs one Newton iteration: the
+/// next iteration refactorises from scratch, which repairs a
+/// transiently corrupted factor or solution. A second hazard in the
+/// same solve is terminal and returns `error`, so a persistent hazard
+/// reaches its typed error promptly.
+fn retry_or_fail(
+    hooks: &SolveHooks<'_>,
+    ctx: &mut SolverContext,
+    retried: &mut bool,
+    hazard: NumericalHazard,
+    error: AnalysisError,
+    time: f64,
+) -> Result<(), AnalysisError> {
+    ctx.invalidate();
+    if std::mem::replace(retried, true) {
+        note_hazard(hooks, hazard, "terminal", time);
+        return Err(error);
+    }
+    if let Some(metrics) = hooks.metrics {
+        metrics.demotion();
+    }
+    note_hazard(hooks, hazard, "demote:refactor", time);
+    Ok(())
+}
+
+/// Moves `x` towards the Newton target `x_new`, clamping node-voltage
+/// updates to `vstep_limit`, and tests every component against the
+/// caller's tolerances scaled by `tol_scale`. Returns whether all
+/// converged, plus the largest unclamped update and its index.
+///
+/// # Errors
+///
+/// The index of the first non-finite update; the components before it
+/// have already moved.
+fn damped_update(
+    x: &mut [f64],
+    x_new: &[f64],
+    nv: usize,
+    options: &NewtonOptions,
+    tol_scale: f64,
+) -> Result<(bool, f64, usize), usize> {
+    let mut worst = 0.0;
+    let mut worst_index = 0;
+    let mut converged = true;
+    for (k, (xk, xn)) in x.iter_mut().zip(x_new).enumerate() {
+        let mut delta = xn - *xk;
+        if !delta.is_finite() {
+            return Err(k);
+        }
+        let (abstol, limit) = if k < nv {
+            (options.vabstol, options.vstep_limit)
+        } else {
+            (options.iabstol, f64::INFINITY)
+        };
+        if delta.abs() > tol_scale * (abstol + options.reltol * xn.abs()) {
+            converged = false;
+        }
+        if delta.abs() > worst {
+            worst = delta.abs();
+            worst_index = k;
+        }
+        if delta.abs() > limit {
+            delta = limit.copysign(delta);
+        }
+        *xk += delta;
+    }
+    Ok((converged, worst, worst_index))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::SolverMetrics;
     use crate::source::SourceWaveform;
 
     fn divider() -> (Netlist, NodeId, NodeId) {
@@ -1247,26 +1224,36 @@ mod tests {
         (nl, vin, out)
     }
 
-    fn solve_dc(nl: &Netlist) -> (MnaLayout, Vec<f64>) {
+    /// One DC Newton solve from a zero guess with a fresh context.
+    fn newton_dc(
+        nl: &Netlist,
+        gmin: f64,
+        hooks: SolveHooks<'_>,
+    ) -> (MnaLayout, Vec<f64>, Result<(), AnalysisError>) {
         let layout = MnaLayout::new(nl);
         let mut x = vec![0.0; layout.size()];
         let params = StampParams {
             time: 0.0,
             companion: CompanionMode::Dc,
-            gmin: 1e-12,
+            gmin,
             source_scale: 1.0,
         };
-        newton_solve(
+        let result = newton_solve(
             nl,
             &layout,
             &params,
             &NewtonOptions::default(),
             None,
-            SolveHooks::none(),
+            hooks,
             &mut SolverContext::default(),
             &mut x,
-        )
-        .unwrap();
+        );
+        (layout, x, result)
+    }
+
+    fn solve_dc(nl: &Netlist) -> (MnaLayout, Vec<f64>) {
+        let (layout, x, result) = newton_dc(nl, 1e-12, SolveHooks::none());
+        result.unwrap();
         (layout, x)
     }
 
@@ -1324,10 +1311,9 @@ mod tests {
         assert!((layout.voltage(&x, o) - 5.0).abs() < 1e-9);
     }
 
-    #[test]
-    fn nmos_diode_connected_bias() {
-        // Diode-connected NMOS pulled up through a resistor: solves the
-        // classic quadratic bias point.
+    /// Diode-connected NMOS pulled up through a resistor; returns the
+    /// netlist and its drain node.
+    fn nmos_diode() -> (Netlist, NodeId) {
         let mut nl = Netlist::new();
         let vdd = nl.node("vdd");
         let d = nl.node("d");
@@ -1345,6 +1331,13 @@ mod tests {
                 lambda: 0.0,
             },
         );
+        (nl, d)
+    }
+
+    #[test]
+    fn nmos_diode_connected_bias() {
+        // Solves the classic quadratic bias point.
+        let (nl, d) = nmos_diode();
         let (layout, x) = solve_dc(&nl);
         let vgs = layout.voltage(&x, d);
         // Check KCL: (5 - vgs)/100k = beta/2 (vgs-1)^2
@@ -1427,30 +1420,49 @@ mod tests {
     }
 
     #[test]
+    fn forced_pivot_breakdown_costs_one_refactor_retry() {
+        // A breakdown forced on the first factorisation is recovered by
+        // the single refactor retry: the solve lands on the unarmed
+        // answer bit for bit, one Newton iteration later.
+        let (nl, _) = nmos_diode();
+        let plain = SolverMetrics::new();
+        let (_, want, result) = newton_dc(&nl, 1e-12, SolveHooks::metrics(Some(&plain)));
+        result.unwrap();
+        let armed = SolverMetrics::new();
+        let chaos = obs::NumericChaosPlan::parse("pivot@0").unwrap().arm();
+        let hooks = SolveHooks {
+            metrics: Some(&armed),
+            chaos: Some(&chaos),
+            ..SolveHooks::none()
+        };
+        let (_, got, result) = newton_dc(&nl, 1e-12, hooks);
+        result.unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+        let (plain, armed) = (plain.snapshot(), armed.snapshot());
+        assert_eq!(armed.demote_refactor, 1);
+        assert_eq!(armed.hazard_near_singular_pivot, 1);
+        assert_eq!(armed.newton_iterations, plain.newton_iterations + 1);
+    }
+
+    #[test]
     fn floating_node_fails_without_gmin() {
         let mut nl = Netlist::new();
         let a = nl.node("a");
         let b_node = nl.node("b");
         nl.resistor("R1", a, b_node, 1e3);
         // Nothing connects to ground: singular without gmin.
-        let layout = MnaLayout::new(&nl);
-        let mut x = vec![0.0; layout.size()];
-        let params = StampParams {
-            time: 0.0,
-            companion: CompanionMode::Dc,
-            gmin: 0.0,
-            source_scale: 1.0,
-        };
-        assert!(newton_solve(
-            &nl,
-            &layout,
-            &params,
-            &NewtonOptions::default(),
-            None,
-            SolveHooks::none(),
-            &mut SolverContext::default(),
-            &mut x,
-        )
-        .is_err());
+        let metrics = SolverMetrics::new();
+        let (_, _, result) = newton_dc(&nl, 0.0, SolveHooks::metrics(Some(&metrics)));
+        assert!(
+            matches!(result, Err(AnalysisError::SingularMatrix { .. })),
+            "{result:?}"
+        );
+        // One refactor retry, then the typed error: two factor
+        // attempts, one Newton iteration each.
+        let snap = metrics.snapshot();
+        assert_eq!(snap.newton_iterations, 2);
+        assert_eq!(snap.hazard_near_singular_pivot, 2);
+        assert_eq!(snap.demote_refactor, 1);
     }
 }

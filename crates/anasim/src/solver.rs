@@ -165,21 +165,10 @@ impl SystemMatrix {
         }
     }
 
-    /// Matrix–vector product into `out` (row-oriented, ascending
-    /// columns — the same accumulation order under both backends, so
-    /// results agree bit for bit on every nonzero).
-    pub fn mul_vec_into(&self, x: &[f64], out: &mut [f64]) {
-        match self {
-            SystemMatrix::Dense(m) => m.mul_vec_into(x, out),
-            SystemMatrix::Sparse(m) => m.mul_vec_into(x, out),
-        }
-    }
-
     /// Residual `A·x − b` into `out` in one pass: each row accumulates
-    /// its product exactly as [`SystemMatrix::mul_vec_into`] does, then
-    /// subtracts `b[r]` — the same operations the two-pass form
-    /// performs, fused so the Newton stale-trial path touches `out`
-    /// once instead of twice per iteration.
+    /// its product in ascending column order — the same order under
+    /// both backends, so results agree bit for bit on every nonzero —
+    /// then subtracts `b[r]`.
     pub fn residual_into(&self, x: &[f64], b: &[f64], out: &mut [f64]) {
         match self {
             SystemMatrix::Dense(m) => m.residual_into(x, b, out),
@@ -266,35 +255,6 @@ impl MnaMatrix for SystemMatrix {
     }
 }
 
-/// A factorisation that can be applied to right-hand sides.
-///
-/// This is the small abstraction the backends plug into; the concrete
-/// types are [`linsys::matrix::Lu`] and [`linsys::sparse::SparseLu`].
-pub trait LinearSolver {
-    /// Solves `A·x = b` into `x` without allocating.
-    fn solve_in_place(&self, b: &[f64], x: &mut [f64]);
-    /// Matrix dimension.
-    fn dimension(&self) -> usize;
-}
-
-impl LinearSolver for Lu {
-    fn solve_in_place(&self, b: &[f64], x: &mut [f64]) {
-        self.solve_into(b, x);
-    }
-    fn dimension(&self) -> usize {
-        self.n()
-    }
-}
-
-impl LinearSolver for SparseLu {
-    fn solve_in_place(&self, b: &[f64], x: &mut [f64]) {
-        self.solve_into(b, x);
-    }
-    fn dimension(&self) -> usize {
-        self.n()
-    }
-}
-
 /// A cached factorisation from either backend.
 ///
 /// The variants differ in size (a `SparseLu` carries its pattern and
@@ -322,8 +282,8 @@ impl LinearFactor {
     /// bytewise identical across backends.
     pub fn solve_into(&self, b: &[f64], x: &mut [f64]) {
         match self {
-            LinearFactor::Dense(lu) => lu.solve_in_place(b, x),
-            LinearFactor::Sparse(slu) => slu.solve_in_place(b, x),
+            LinearFactor::Dense(lu) => lu.solve_into(b, x),
+            LinearFactor::Sparse(slu) => slu.solve_into(b, x),
         }
         for v in x.iter_mut() {
             *v += 0.0;
@@ -455,9 +415,6 @@ pub struct SolverContext {
     pub(crate) factor: Option<(FactorKey, LinearFactor)>,
     /// Sparse refactorisation scratch.
     pub(crate) ws: SparseWorkspace,
-    /// Set when the reuse policy demands a refactorisation before the
-    /// next linear solve.
-    pub(crate) force_refactor: bool,
     /// Newton iterations taken on the current factorisation since it
     /// was last recomputed.
     pub(crate) stale_iters: u32,
@@ -489,23 +446,16 @@ impl SolverContext {
             baseline_b: Vec::new(),
             factor: None,
             ws: SparseWorkspace::default(),
-            force_refactor: false,
             stale_iters: 0,
             distrust: 0,
         }
     }
 
-    /// The backend this context assembles under.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// Drops the cached factorisation and forces the next solve to
-    /// refactor — called after non-convergence so a retry (e.g. at a
-    /// halved timestep) starts from a fresh Jacobian.
+    /// Drops the cached factorisation so the next solve refactors —
+    /// called after non-convergence so a retry (e.g. at a halved
+    /// timestep) starts from a fresh Jacobian.
     pub fn invalidate(&mut self) {
         self.factor = None;
-        self.force_refactor = false;
         self.stale_iters = 0;
     }
 }

@@ -21,8 +21,8 @@
 //!   regression the sparse-solver work guards against.
 //! * **Numerical resilience** — the demotion rate
 //!   `demotions / newton_iterations` must not grow by more than the
-//!   tolerance in percentage points: a build that starts demoting
-//!   healthy solves down the recovery ladder is numerically regressing
+//!   tolerance in percentage points: a build that starts spending
+//!   refactor retries on healthy solves is numerically regressing
 //!   even if it still converges. Compared only when *both* documents
 //!   carry the `/4` resilience counters, so a `/3` baseline (like the
 //!   committed snapshot) diffs cleanly against a `/4` candidate.
@@ -56,7 +56,7 @@ pub struct Tolerances {
     /// Allowed drop of the factorisation reuse rate, in percentage
     /// points.
     pub reuse_drop_pct: f64,
-    /// Allowed growth of the tier-demotion rate
+    /// Allowed growth of the demotion (refactor-retry) rate
     /// (`demotions / newton_iterations`), in percentage points. Only
     /// gates when both documents carry the `/4` resilience counters.
     pub demotion_growth_pp: f64,

@@ -280,8 +280,8 @@ fn render_campaign_progress(label: &str, campaign: &ReplayedCampaign) -> String 
     }
 
     // Numerical-resilience rollup across the checkpointed faults: which
-    // hazards the solver hit and how far down the recovery ladder it
-    // had to demote. Silent for healthy campaigns.
+    // hazards the solver hit and how many refactor retries they cost.
+    // Silent for healthy campaigns.
     let mut hazards: Vec<(&'static str, u64)> = Vec::new();
     let mut demotions: Vec<(&'static str, u64)> = Vec::new();
     let mut refinement = 0_u64;

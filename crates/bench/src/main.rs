@@ -60,8 +60,8 @@
 //! example `pivot@0`, `nan@2..4`, `perturb@1`, `seed@7:10`, see
 //! [`obs::chaos::NumericChaosPlan::parse`]) into every fault extraction
 //! of every campaign: forced pivot breakdowns, corrupted factors and
-//! poisoned solutions exercise the hazard taxonomy and tier-demotion
-//! ladder end to end.
+//! poisoned solutions exercise the hazard taxonomy and the refactor
+//! retry end to end.
 //! It needs no journal, golden extractions always run clean, and
 //! `hazard.*` / `demote.*` counters land in the metrics, the bench
 //! sidecar and the canonical `[hazard … → demote …]` markers.

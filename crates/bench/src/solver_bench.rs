@@ -34,8 +34,8 @@
 //! * `hazards` — total numerical hazards the solver detected (pivot
 //!   breakdowns, non-finite iterates, refinement stalls, advisory
 //!   growth/conditioning flags);
-//! * `demotions` — how often a hazard demoted the solve down the
-//!   recovery ladder (stale → refactor → symbolic → dense);
+//! * `demotions` — how often a hazard cost a solve its one refactor
+//!   retry (`solver.demote.refactor`);
 //! * `refinement_rounds` — iterative-refinement rounds spent vetting
 //!   reused factorisations at the residual acceptance gate.
 //!
@@ -45,10 +45,10 @@
 //! experiment that entered the Newton loop must not have factorised
 //! more often than it iterated (`lu_factor.calls ≤
 //! newton_iterations`) — if it did, factorisation reuse is not working.
-//! The lint survives `/4` unchanged: every demotion-ladder retry
-//! consumes one Newton iteration (`continue 'newton`), so even a solve
-//! that demotes all the way to dense never factorises more often than
-//! it iterates. For `/4` the resilience members must be present and
+//! The lint survives `/4` unchanged: a refactor retry consumes one
+//! Newton iteration and every iteration factorises at most once, so
+//! even a solve that retries never factorises more often than it
+//! iterates. For `/4` the resilience members must be present and
 //! well-formed. Every version ≥ `/2` gets the
 //! physically-impossible-attribution lint: phase nanoseconds must fit
 //! in `workers` threads of wall-clock.

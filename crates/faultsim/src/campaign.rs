@@ -444,7 +444,7 @@ pub struct CampaignConfig {
     /// rungs, so injection is a pure function of the fault's solve
     /// sequence and reports stay byte-identical at any worker count.
     /// The golden extraction always runs clean — chaos probes the
-    /// recovery ladder, not the reference signature. `None` (the
+    /// solver's recovery, not the reference signature. `None` (the
     /// default) keeps every site inert.
     pub numeric_chaos: Option<obs::NumericChaosPlan>,
 }
@@ -775,8 +775,8 @@ impl CampaignReport {
             }
             // Counter-derived numerical-resilience marker, in the same
             // family as [rung]/[worst]/[panic]: hazards the solver
-            // observed for this fault and the recovery tiers it demoted
-            // to. Healthy faults carry no marker, so canonical bytes
+            // observed for this fault and the refactor retries they
+            // cost. Healthy faults carry no marker, so canonical bytes
             // are untouched unless something actually went wrong.
             let join = |pairs: &[(&'static str, u64)]| -> String {
                 pairs
@@ -2512,8 +2512,9 @@ mod tests {
         // Every chaos site armed at once: a forced pivot breakdown on
         // the first factorisation, a corrupted pivot on the second and
         // a poisoned solution on the third. The campaign must absorb
-        // all of it through the demotion ladder:
-        // typed statuses only, no panic, no NaN anywhere in the report.
+        // all of it through the refactor retry and the escalation
+        // ladder: typed statuses only, no panic, no NaN anywhere in the
+        // report.
         let (nl, faults) = rc_fixture();
         let plan = obs::NumericChaosPlan::parse("pivot@0,perturb@1,nan@2").expect("valid spec");
         let report = run_campaign_with(

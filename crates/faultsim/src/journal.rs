@@ -298,7 +298,7 @@ pub fn telemetry_to_json(t: &FaultTelemetry) -> JsonValue {
 pub fn telemetry_from_json(v: &JsonValue) -> Result<FaultTelemetry, String> {
     let solver_obj = get(v, "solver")?;
     let mut solver = SolverSnapshot::default();
-    let fields: [&mut u64; 18] = [
+    let fields: [&mut u64; 15] = [
         &mut solver.newton_iterations,
         &mut solver.steps_accepted,
         &mut solver.steps_rejected,
@@ -312,10 +312,7 @@ pub fn telemetry_from_json(v: &JsonValue) -> Result<FaultTelemetry, String> {
         &mut solver.hazard_nonfinite,
         &mut solver.hazard_refinement_stall,
         &mut solver.hazard_ill_conditioned,
-        &mut solver.demote_stale,
         &mut solver.demote_refactor,
-        &mut solver.demote_symbolic,
-        &mut solver.demote_dense,
         &mut solver.refinement_rounds,
     ];
     for (field, slot) in SolverSnapshot::FIELDS.iter().zip(fields) {
@@ -669,8 +666,8 @@ mod tests {
                 hazard_near_singular_pivot: 2,
                 hazard_refinement_stall: 1,
                 hazard_nonfinite: 4,
-                demote_symbolic: 2,
-                demote_dense: 1,
+                demote_refactor: 2,
+                hazard_ill_conditioned: 1,
                 refinement_rounds: 5,
                 ..SolverSnapshot::default()
             },
@@ -752,33 +749,36 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_with_the_retired_rank1_counter_still_decodes() {
-        // Journals written while the solver still had a golden
-        // rank-1 update tier carry a `hazard.rank1_breakdown` counter.
-        // Resuming one must ignore that key and keep every other
-        // counter exactly.
+    fn telemetry_with_retired_counters_still_decodes() {
+        // Journals written by older solvers carry counters that no
+        // longer exist: `hazard.rank1_breakdown` from the golden rank-1
+        // update tier and `demote.stale` / `demote.symbolic` /
+        // `demote.dense` from the longer demotion ladder. Resuming one
+        // must ignore those keys and keep every other counter exactly.
         let text = r#"{"solver":{"newton_iterations":42,"steps_accepted":17,
             "steps_rejected":3,"dt_shrinks":2,"dc_gmin_steps":1,"dc_source_steps":0,
             "factor_reuse_hits":9,"factor_reuse_misses":8,
             "hazard.near_singular_pivot":2,"hazard.pivot_growth":0,
             "hazard.rank1_breakdown":7,"hazard.nonfinite":4,
-            "hazard.refinement_stall":1,"hazard.ill_conditioned":0,
-            "demote.stale":6,"demote.refactor":0,"demote.symbolic":2,
+            "hazard.refinement_stall":1,"hazard.ill_conditioned":1,
+            "demote.stale":6,"demote.refactor":2,"demote.symbolic":2,
             "demote.dense":1,"refinement.rounds":5},
             "rung":1,"rungs_tried":2,"wall_ms":12,"postmortem":null}"#;
         let back = telemetry_from_json(&obs::json::parse(text).unwrap()).unwrap();
         let want = SolverSnapshot {
             factor_reuse_hits: 9,
             factor_reuse_misses: 8,
-            demote_stale: 6,
             ..sample_telemetry().solver
         };
         assert_eq!(back.solver, want);
         assert_eq!(back.rung, Some(1));
         assert_eq!(back.rungs_tried, 2);
         assert_eq!(back.wall, Duration::from_millis(12));
-        // Re-encoding drops the retired key.
-        assert!(!telemetry_to_json(&back).to_json().contains("rank1"));
+        // Re-encoding drops every retired key.
+        let reencoded = telemetry_to_json(&back).to_json();
+        for retired in ["rank1", "demote.stale", "demote.symbolic", "demote.dense"] {
+            assert!(!reencoded.contains(retired), "{retired} in {reencoded}");
+        }
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! strictly contracts the true residual norm, so refinement can never
 //! make a solution worse. Callers that still see a non-contracting
 //! residual should treat the factorisation as untrustworthy
-//! ([`crate::NumericalHazard::RefinementStall`]) and demote to a
-//! stronger tier.
+//! ([`crate::NumericalHazard::RefinementStall`]) and refactor.
 
 /// Result of one [`refine_once`] round.
 #[derive(Debug, Clone, Copy, PartialEq)]

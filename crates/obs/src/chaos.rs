@@ -341,8 +341,8 @@ impl<S: JournalSink + ?Sized> JournalSink for FaultySink<S> {
 /// Where [`FaultPlan`] attacks the storage layer, a
 /// [`NumericChaosPlan`] attacks the *arithmetic*: each site corrupts
 /// one specific quantity the solver's hazard detectors are supposed to
-/// catch, so a seeded sweep can prove every detector fires and every
-/// recovery tier engages — deterministically, with a typed outcome,
+/// catch, so a seeded sweep can prove every detector fires and the
+/// refactor retry engages — deterministically, with a typed outcome,
 /// never a panic or a NaN-poisoned report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NumericSite {
@@ -400,8 +400,8 @@ impl NumericSite {
 ///
 /// Indices count *attempts per site* within one
 /// [`NumericChaosState`]; a retry after a fired injection lands on the
-/// next index, so single-index clauses are naturally one-shot and a
-/// demotion ladder can be proven to recover.
+/// next index, so single-index clauses are naturally one-shot and the
+/// solver's refactor retry can be proven to recover.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NumericChaosPlan {
     /// Schedule for [`NumericSite::Pivot`].

@@ -49,8 +49,8 @@ pub struct LadderStep {
 pub struct HazardStep {
     /// Hazard label, e.g. `refinement-stall` or `non-finite`.
     pub hazard: String,
-    /// What the solver did about it: `demote:refactor`,
-    /// `demote:dense`, `refined`, `advisory`, `terminal`, ...
+    /// What the solver did about it: `demote:refactor` (the one
+    /// refactor retry), `advisory` or `terminal`.
     pub action: String,
     /// Simulated time in seconds at detection (0 for DC).
     pub time: f64,
