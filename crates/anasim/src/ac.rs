@@ -9,15 +9,12 @@
 use linsys::cmatrix::{solve as csolve, CMatrix};
 use linsys::complex::Complex;
 
-use crate::dc::{dc_operating_point_metered, DcOptions};
+use crate::dc::dc_operating_point;
 use crate::dense::Matrix;
 use crate::devices::Device;
-use crate::metrics::SolverMetrics;
 use crate::mna::{stamp_system, CompanionMode, MnaLayout, StampParams};
 use crate::netlist::{DeviceId, Netlist, NodeId};
 use crate::AnalysisError;
-
-use std::time::Instant;
 
 /// Result of an AC sweep: node phasors per frequency for a unit-input
 /// excitation.
@@ -150,37 +147,6 @@ pub fn ac_analysis(
     input: DeviceId,
     frequencies: &[f64],
 ) -> Result<AcResult, AnalysisError> {
-    ac_analysis_metered(netlist, input, frequencies, None)
-}
-
-/// [`ac_analysis`] with an optional [`SolverMetrics`] handle: the
-/// linearisation's DC Newton iterations are counted on it and an
-/// `anasim.ac` span covering the whole sweep is reported to its
-/// recorder.
-///
-/// # Errors
-///
-/// See [`ac_analysis`].
-pub fn ac_analysis_metered(
-    netlist: &Netlist,
-    input: DeviceId,
-    frequencies: &[f64],
-    metrics: Option<&SolverMetrics>,
-) -> Result<AcResult, AnalysisError> {
-    let started = Instant::now();
-    let result = ac_sweep(netlist, input, frequencies, metrics);
-    if let Some(metrics) = metrics {
-        metrics.record_span("anasim.ac", started.elapsed());
-    }
-    result
-}
-
-fn ac_sweep(
-    netlist: &Netlist,
-    input: DeviceId,
-    frequencies: &[f64],
-    metrics: Option<&SolverMetrics>,
-) -> Result<AcResult, AnalysisError> {
     if !matches!(netlist.device(input), Device::Vsource { .. }) {
         return Err(AnalysisError::InvalidParameter(
             "ac input must be a voltage source".into(),
@@ -188,7 +154,7 @@ fn ac_sweep(
     }
 
     // 1. DC operating point for the linearisation.
-    let op = dc_operating_point_metered(netlist, &DcOptions::default(), metrics)?;
+    let op = dc_operating_point(netlist)?;
     let layout = MnaLayout::new(netlist);
     let n = layout.size();
 

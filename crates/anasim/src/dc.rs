@@ -6,14 +6,12 @@
 //! conductance to ground) and source stepping (ramping all independent
 //! sources from zero).
 
-use crate::flight::{SolveHooks, SolvePhase};
-use crate::metrics::SolverMetrics;
+use crate::flight::SolvePhase;
 use crate::mna::{newton_solve, CompanionMode, MnaLayout, NewtonOptions, StampParams};
 use crate::netlist::{DeviceId, Netlist, NodeId};
-use crate::solver::{SolverContext, WarmStart};
+use crate::robust::{BudgetClock, SolveSettings};
+use crate::solver::SolverContext;
 use crate::AnalysisError;
-
-use std::time::Instant;
 
 /// A solved operating point.
 #[derive(Debug, Clone)]
@@ -108,95 +106,92 @@ pub fn dc_operating_point_with(
     netlist: &Netlist,
     options: &DcOptions,
 ) -> Result<OperatingPoint, AnalysisError> {
-    dc_operating_point_metered(netlist, options, None)
+    dc_operating_point_solver(
+        netlist,
+        options,
+        &SolveSettings::default(),
+        None,
+        &mut SolverContext::default(),
+    )
 }
 
-/// [`dc_operating_point_with`] with an optional [`SolverMetrics`]
-/// handle: Newton iterations and homotopy stages (`dc_gmin_steps`,
-/// `dc_source_steps`) are counted on it, and an `anasim.dc` span is
-/// reported to its recorder on every exit path, success or failure.
+/// [`dc_operating_point_with`] armed through `settings`, against a
+/// caller-owned [`SolverContext`] and, when `clock` is given, under its
+/// budget: a raised [`crate::robust::CancelToken`] or a spent wall
+/// budget stops the solve between Newton iterations.
 ///
-/// # Errors
-///
-/// See [`dc_operating_point`].
-pub fn dc_operating_point_metered(
-    netlist: &Netlist,
-    options: &DcOptions,
-    metrics: Option<&SolverMetrics>,
-) -> Result<OperatingPoint, AnalysisError> {
-    let mut ctx = SolverContext::default();
-    dc_operating_point_solver(netlist, options, SolveHooks::metrics(metrics), None, &mut ctx)
-}
-
-/// [`dc_operating_point_metered`] generalised to the full
-/// [`SolveHooks`] bundle, against a caller-owned [`SolverContext`] and
-/// optionally warm-started from a golden operating point. An armed
+/// Newton iterations and homotopy stages (`dc_gmin_steps`,
+/// `dc_source_steps`) are counted on `settings.metrics`. An armed
 /// [`crate::flight::FlightRecorder`] sees every Newton iteration of the
 /// direct solve and both homotopies, each tagged with its
 /// [`SolvePhase`], with worst-unknown indices resolvable to node names.
 ///
 /// The context's cached symbolic structure and factorisation carry
 /// across the homotopy stages (and, when the caller is a transient
-/// analysis, into the timestep march). A `warm` seed is tried with
-/// plain Newton before the usual cold-start chain; on failure the
-/// solve falls back to exactly the cold behaviour, so warm-starting
-/// can only add one cheap attempt, never change the answer's
-/// robustness.
+/// analysis, into the timestep march). A `settings.warm_start` seed is
+/// tried with plain Newton before the usual cold-start chain; on
+/// failure the solve falls back to exactly the cold behaviour, so
+/// warm-starting can only add one cheap attempt, never change the
+/// answer's robustness.
 ///
 /// # Errors
 ///
-/// See [`dc_operating_point`].
+/// See [`dc_operating_point`]; additionally
+/// [`AnalysisError::Cancelled`] or [`AnalysisError::BudgetExceeded`]
+/// from `clock`.
 pub fn dc_operating_point_solver(
     netlist: &Netlist,
     options: &DcOptions,
-    hooks: SolveHooks<'_>,
-    warm: Option<&WarmStart>,
-    ctx: &mut SolverContext,
-) -> Result<OperatingPoint, AnalysisError> {
-    let started = Instant::now();
-    let result = dc_solve(netlist, options, hooks, warm, ctx);
-    if let Some(metrics) = hooks.metrics {
-        metrics.record_span("anasim.dc", started.elapsed());
-    }
-    result
-}
-
-fn dc_solve(
-    netlist: &Netlist,
-    options: &DcOptions,
-    hooks: SolveHooks<'_>,
-    warm: Option<&WarmStart>,
+    settings: &SolveSettings,
+    clock: Option<&BudgetClock>,
     ctx: &mut SolverContext,
 ) -> Result<OperatingPoint, AnalysisError> {
     // Homotopy scheduling is DC self-time; the Newton solves underneath
     // attribute their own stamp/factor/solve/residual phases.
-    let _dc = hooks
+    let _dc = settings
         .profile
+        .as_ref()
         .map(|p| p.enter(obs::profile::Phase::DcSolve));
     let layout = MnaLayout::new(netlist);
     let mut x = vec![0.0; layout.size()];
     let set_phase = |phase: SolvePhase| {
-        if let Some(flight) = hooks.flight {
+        if let Some(flight) = &settings.flight {
             flight.set_phase(phase);
         }
     };
-    if let Some(flight) = hooks.flight {
+    if let Some(flight) = &settings.flight {
         flight.install_names(netlist, &layout);
     }
+    // One Newton solve of the DC system at `gmin` with sources scaled
+    // by `source_scale`, from the guess in `x`.
+    let mut solve = |gmin: f64, source_scale: f64, x: &mut Vec<f64>| {
+        let params = StampParams {
+            time: options.time,
+            companion: CompanionMode::Dc,
+            gmin,
+            source_scale,
+        };
+        newton_solve(
+            netlist,
+            &layout,
+            &params,
+            &options.newton,
+            clock,
+            settings,
+            ctx,
+            x,
+        )
+    };
 
     // 0. Golden warm start: seed the guess from a golden operating
     // point and try plain Newton. Faulty variants of a circuit usually
     // sit near the golden bias, so this converges in a handful of
     // iterations and skips the homotopy chain entirely. Any failure
     // falls through to the untouched cold-start ladder.
-    if let Some(warm) = warm {
+    if let Some(warm) = &settings.warm_start {
         set_phase(SolvePhase::DcDirect);
         warm.seed(&layout, &mut x);
-        if try_newton(
-            netlist, &layout, options, options.gmin, 1.0, hooks, ctx, &mut x,
-        )
-        .is_ok()
-        {
+        if solve(options.gmin, 1.0, &mut x).is_ok() {
             return Ok(OperatingPoint::new(layout, x));
         }
         x.iter_mut().for_each(|v| *v = 0.0);
@@ -204,96 +199,44 @@ fn dc_solve(
 
     // 1. Plain Newton.
     set_phase(SolvePhase::DcDirect);
-    let direct = try_newton(
-        netlist, &layout, options, options.gmin, 1.0, hooks, ctx, &mut x,
-    );
+    let direct = solve(options.gmin, 1.0, &mut x);
     if direct.is_ok() {
         return Ok(OperatingPoint::new(layout, x));
     }
 
-    // 2. gmin stepping: start heavily damped, relax by decades.
-    let mut last_err = direct.unwrap_err();
+    // 2. gmin stepping: start heavily damped, relax by decades, then
+    // solve at the target gmin.
     if matches!(
-        last_err,
-        AnalysisError::NoConvergence { .. } | AnalysisError::Numerical { .. }
+        direct,
+        Err(AnalysisError::NoConvergence { .. } | AnalysisError::Numerical { .. })
     ) {
         set_phase(SolvePhase::DcGmin);
         x.iter_mut().for_each(|v| *v = 0.0);
         let mut ok = true;
         let mut gmin = 1e-2;
-        while gmin >= options.gmin {
-            if let Some(metrics) = hooks.metrics {
+        while ok && gmin >= options.gmin {
+            if let Some(metrics) = &settings.metrics {
                 metrics.dc_gmin_step();
             }
-            if let Err(e) = try_newton(netlist, &layout, options, gmin, 1.0, hooks, ctx, &mut x) {
-                last_err = e;
-                ok = false;
-                break;
-            }
+            ok = solve(gmin, 1.0, &mut x).is_ok();
             gmin /= 10.0;
         }
-        if ok {
-            // Final solve at the target gmin.
-            if try_newton(
-                netlist, &layout, options, options.gmin, 1.0, hooks, ctx, &mut x,
-            )
-            .is_ok()
-            {
-                return Ok(OperatingPoint::new(layout, x));
-            }
+        if ok && solve(options.gmin, 1.0, &mut x).is_ok() {
+            return Ok(OperatingPoint::new(layout, x));
         }
     }
 
-    // 3. Source stepping: ramp independent sources 0 -> 100 %.
+    // 3. Source stepping: ramp independent sources 0 -> 100 %. Its
+    // failure is the one reported.
     set_phase(SolvePhase::DcSource);
     x.iter_mut().for_each(|v| *v = 0.0);
-    let mut ok = true;
     for step in 1..=20 {
-        let scale = step as f64 / 20.0;
-        if let Some(metrics) = hooks.metrics {
+        if let Some(metrics) = &settings.metrics {
             metrics.dc_source_step();
         }
-        if let Err(e) = try_newton(
-            netlist, &layout, options, options.gmin, scale, hooks, ctx, &mut x,
-        ) {
-            last_err = e;
-            ok = false;
-            break;
-        }
+        solve(options.gmin, step as f64 / 20.0, &mut x)?;
     }
-    if ok {
-        return Ok(OperatingPoint::new(layout, x));
-    }
-    Err(last_err)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn try_newton(
-    netlist: &Netlist,
-    layout: &MnaLayout,
-    options: &DcOptions,
-    gmin: f64,
-    source_scale: f64,
-    hooks: SolveHooks<'_>,
-    ctx: &mut SolverContext,
-    x: &mut Vec<f64>,
-) -> Result<(), AnalysisError> {
-    let params = StampParams {
-        time: options.time,
-        companion: CompanionMode::Dc,
-        gmin,
-        source_scale,
-    };
-    newton_solve(
-        netlist,
-        layout,
-        &params,
-        &options.newton,
-        None,
-        hooks,
-        ctx,
-        x,
-    )
+    Ok(OperatingPoint::new(layout, x))
 }
 
 #[cfg(test)]

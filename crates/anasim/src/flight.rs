@@ -9,8 +9,8 @@
 //! escalation-ladder path and the budget state at death.
 //!
 //! The recorder is off by default and free when disarmed: solvers
-//! receive it through [`SolveHooks`], and a disarmed hook is a `None`
-//! branch per Newton iteration — no locks, no allocation. Armed, each
+//! receive it through [`crate::robust::SolveSettings::flight`], and a
+//! disarmed recorder is a `None` branch per Newton iteration — no locks, no allocation. Armed, each
 //! iteration is one mutex lock and one `Copy` store into preallocated
 //! ring storage; names are resolved only at freeze time, never in the
 //! hot loop.
@@ -21,7 +21,6 @@ use obs::postmortem::{HazardStep, LadderStep, Postmortem, PostmortemIteration};
 use obs::ring::RingBuffer;
 
 use crate::error::AnalysisError;
-use crate::metrics::SolverMetrics;
 use crate::mna::MnaLayout;
 use crate::netlist::{NodeId, Netlist};
 
@@ -186,8 +185,9 @@ impl FlightRecorder {
     /// Records one numerical hazard and the recovery action taken
     /// (e.g. `refinement-stall` → `demote:refactor`). Entries beyond
     /// [`FlightRecorder::MAX_HAZARDS`] are dropped — the *counters* in
-    /// [`SolverMetrics`] stay exact; this trace exists so postmortems
-    /// and `experiments explain` can narrate the order of events.
+    /// [`crate::metrics::SolverMetrics`] stay exact; this trace exists
+    /// so postmortems and `experiments explain` can narrate the order of
+    /// events.
     pub fn record_hazard(&self, hazard: &str, action: &str, time: f64) {
         let mut state = self.lock();
         if state.hazards.len() < Self::MAX_HAZARDS {
@@ -298,43 +298,6 @@ impl FlightRecorder {
             ladder: state.ladder.clone(),
             hazards: state.hazards.clone(),
             budget_steps,
-        }
-    }
-}
-
-/// The per-solve observer bundle threaded through
-/// [`crate::mna::newton_solve`] and the analyses above it.
-///
-/// Every hook is an optional borrow: a fully disarmed bundle (the
-/// default) costs the solver a few `None` branches per iteration and
-/// performs no allocation and no clock reads.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SolveHooks<'a> {
-    /// Counter handle ([`SolverMetrics`]) — iteration and step totals.
-    pub metrics: Option<&'a SolverMetrics>,
-    /// Flight recorder — bounded per-iteration trace for postmortems.
-    pub flight: Option<&'a FlightRecorder>,
-    /// Phase profiler ([`obs::profile::PhaseProfiler`]) — per-phase
-    /// wall-time attribution of the Newton loop.
-    pub profile: Option<&'a obs::profile::PhaseProfiler>,
-    /// Numeric-chaos firing state ([`obs::NumericChaosState`]) —
-    /// deterministic arithmetic fault injection. Disarmed, each
-    /// injection site is one `None` branch.
-    pub chaos: Option<&'a obs::NumericChaosState>,
-}
-
-impl<'a> SolveHooks<'a> {
-    /// A fully disarmed bundle.
-    pub fn none() -> Self {
-        SolveHooks::default()
-    }
-
-    /// A bundle with only metrics armed (the pre-flight-recorder
-    /// calling convention).
-    pub fn metrics(metrics: Option<&'a SolverMetrics>) -> Self {
-        SolveHooks {
-            metrics,
-            ..SolveHooks::default()
         }
     }
 }

@@ -8,17 +8,15 @@
 //! which is what makes per-fault counts exact — there is no process- or
 //! thread-global state to bleed between consecutive analyses.
 //!
-//! An optional [`obs::Recorder`] receives wall-clock spans as they
-//! close (`anasim.dc`, `anasim.transient`, `anasim.ac`). Counters stay
-//! in the atomics until the owner snapshots them, so deterministic
-//! quantities can be emitted in a deterministic order after parallel
-//! work completes.
+//! Counters stay in the atomics until the owner snapshots them, so
+//! deterministic quantities can be emitted to an [`obs::Recorder`] in a
+//! deterministic order after parallel work completes; wall time is the
+//! business of an attached [`PhaseProfiler`].
 
 use std::fmt;
 use std::ops::{Add, AddAssign};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use linsys::NumericalHazard;
 use obs::profile::{PhaseProfiler, PhaseSnapshot};
@@ -44,7 +42,7 @@ pub const COUNTER_NAMES: [&str; 15] = [
     "solver.refinement.rounds",
 ];
 
-/// Live, thread-safe solver counters plus an optional span recorder.
+/// Live, thread-safe solver counters plus an optional phase profiler.
 #[derive(Default)]
 pub struct SolverMetrics {
     newton_iterations: AtomicU64,
@@ -62,7 +60,6 @@ pub struct SolverMetrics {
     hazard_ill_conditioned: AtomicU64,
     demote_refactor: AtomicU64,
     refinement_rounds: AtomicU64,
-    recorder: Option<Arc<dyn Recorder>>,
     profile: Option<Arc<PhaseProfiler>>,
 }
 
@@ -70,23 +67,14 @@ impl fmt::Debug for SolverMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SolverMetrics")
             .field("snapshot", &self.snapshot())
-            .field("has_recorder", &self.recorder.is_some())
             .finish()
     }
 }
 
 impl SolverMetrics {
-    /// Fresh counters with no span recorder.
+    /// Fresh counters with no profiler attached.
     pub fn new() -> Self {
         SolverMetrics::default()
-    }
-
-    /// Fresh counters whose spans are forwarded to `recorder`.
-    pub fn with_recorder(recorder: Arc<dyn Recorder>) -> Self {
-        SolverMetrics {
-            recorder: Some(recorder),
-            ..SolverMetrics::default()
-        }
     }
 
     /// `self` with a [`PhaseProfiler`] attached (builder style):
@@ -177,24 +165,6 @@ impl SolverMetrics {
     #[inline]
     pub fn refinement_round(&self) {
         self.refinement_rounds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Reports a completed analysis span (e.g. `anasim.dc`) to the
-    /// attached recorder, if any.
-    pub fn record_span(&self, name: &str, elapsed: Duration) {
-        if let Some(recorder) = &self.recorder {
-            recorder.span(name, elapsed);
-        }
-    }
-
-    /// The attached span recorder, if any.
-    pub fn recorder(&self) -> Option<&Arc<dyn Recorder>> {
-        self.recorder.as_ref()
-    }
-
-    /// The attached phase profiler, if any.
-    pub fn profiler(&self) -> Option<&Arc<PhaseProfiler>> {
-        self.profile.as_ref()
     }
 
     /// A point-in-time copy of all counters, including the per-phase
@@ -526,15 +496,5 @@ mod tests {
         assert_eq!(sum.phases.ns(Phase::Factor), 2468);
         // Without a profiler the phase block stays zero.
         assert!(SolverMetrics::new().snapshot().phases.is_empty());
-    }
-
-    #[test]
-    fn spans_flow_to_the_attached_recorder() {
-        let rec = Arc::new(AggregatingRecorder::new());
-        let m = SolverMetrics::with_recorder(rec.clone());
-        m.record_span("anasim.dc", Duration::from_millis(2));
-        assert_eq!(rec.snapshot().spans["anasim.dc"].count(), 1);
-        // Without a recorder, spans are silently dropped.
-        SolverMetrics::new().record_span("anasim.dc", Duration::from_millis(1));
     }
 }

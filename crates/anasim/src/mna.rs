@@ -5,9 +5,8 @@ use std::sync::Arc;
 
 use crate::dense::Matrix;
 use crate::devices::{Device, MosPolarity};
-use crate::flight::SolveHooks;
 use crate::netlist::{DeviceId, Netlist, NodeId};
-use crate::robust::BudgetClock;
+use crate::robust::{BudgetClock, SolveSettings};
 use crate::solver::{
     FactorKey, LinearFactor, MnaMatrix, PositionProbe, SolverContext, SystemMatrix,
 };
@@ -525,15 +524,15 @@ impl Default for NewtonOptions {
 ///
 /// When `clock` is provided, its wall-clock budget is polled between
 /// Newton iterations so a single stuck timestep cannot outlive the
-/// analysis budget. `hooks` carries the optional iteration counter
-/// ([`crate::metrics::SolverMetrics`]), the optional
-/// [`crate::flight::FlightRecorder`] and the optional
+/// analysis budget. Only the observers of `settings` are read here: the
+/// optional iteration counter ([`crate::metrics::SolverMetrics`]), the
+/// optional [`crate::flight::FlightRecorder`], the optional
 /// [`obs::profile::PhaseProfiler`] attributing stamp / factor /
-/// back-substitute / residual wall time; all handles are owned by the
-/// caller, so counts, traces and timings cannot bleed between unrelated
-/// analyses the way thread-global state would. A fully disarmed bundle
-/// costs a few `None` branches per iteration, allocates nothing and
-/// never reads the clock.
+/// back-substitute / residual wall time and the optional numeric-chaos
+/// state; all handles are owned by the caller, so counts, traces and
+/// timings cannot bleed between unrelated analyses the way
+/// thread-global state would. Fully disarmed settings cost a few `None`
+/// branches per iteration, allocate nothing and never read the clock.
 ///
 /// # Errors
 ///
@@ -550,7 +549,7 @@ pub fn newton_solve(
     params: &StampParams<'_>,
     options: &NewtonOptions,
     clock: Option<&BudgetClock>,
-    hooks: SolveHooks<'_>,
+    settings: &SolveSettings,
     ctx: &mut SolverContext,
     x: &mut Vec<f64>,
 ) -> Result<(), AnalysisError> {
@@ -561,19 +560,19 @@ pub fn newton_solve(
     // iteration; the lap timer keeps armed overhead in the low single
     // digits. The flush runs on every exit path so partial attribution
     // survives singular matrices and convergence failures.
-    let mut lap = hooks.profile.map(|_| LapTimer::start());
+    let mut lap = settings.profile.as_ref().map(|_| LapTimer::start());
     let result = newton_iterate(
         netlist,
         layout,
         params,
         options,
         clock,
-        &hooks,
+        settings,
         ctx,
         lap.as_mut(),
         x,
     );
-    if let (Some(lap), Some(profile)) = (lap, hooks.profile) {
+    if let (Some(lap), Some(profile)) = (lap, &settings.profile) {
         lap.flush(profile);
     }
     result
@@ -667,11 +666,11 @@ const COND_LIMIT: f64 = 1e14;
 const RESID_GATE_TOL: f64 = 1e-8;
 
 /// Counts a hazard and appends it to the flight-recorder history.
-fn note_hazard(hooks: &SolveHooks<'_>, hazard: NumericalHazard, action: &str, time: f64) {
-    if let Some(metrics) = hooks.metrics {
+fn note_hazard(settings: &SolveSettings, hazard: NumericalHazard, action: &str, time: f64) {
+    if let Some(metrics) = &settings.metrics {
         metrics.hazard(hazard);
     }
-    if let Some(flight) = hooks.flight {
+    if let Some(flight) = &settings.flight {
         flight.record_hazard(hazard.label(), action, time);
     }
 }
@@ -797,7 +796,7 @@ fn newton_iterate(
     params: &StampParams<'_>,
     options: &NewtonOptions,
     clock: Option<&BudgetClock>,
-    hooks: &SolveHooks<'_>,
+    settings: &SolveSettings,
     ctx: &mut SolverContext,
     mut lap: Option<&mut LapTimer>,
     x: &mut Vec<f64>,
@@ -825,6 +824,10 @@ fn newton_iterate(
     // is moving too fast for the stale Jacobian.
     ctx.distrust = ctx.distrust.saturating_sub(1);
 
+    // The per-iteration observers, bound once per solve.
+    let metrics = settings.metrics.as_deref();
+    let flight = settings.flight.as_deref();
+
     let mut worst = f64::INFINITY;
     let mut prev_worst = f64::INFINITY;
     let mut baseline_ready = false;
@@ -834,7 +837,7 @@ fn newton_iterate(
         if let Some(clock) = clock {
             clock.check_wall(time)?;
         }
-        if let Some(metrics) = hooks.metrics {
+        if let Some(metrics) = metrics {
             metrics.newton_iteration();
         }
         // Budget/metrics bookkeeping (and the previous iteration's
@@ -874,7 +877,7 @@ fn newton_iterate(
         // Factor choice: exact cached solve, stale trial, or refactor.
         let cached = matches!(&ctx.factor, Some((k, _)) if *k == key);
         let stale = if cached && linear {
-            if exact_solve(ctx, hooks, time, lap.as_deref_mut()) {
+            if exact_solve(ctx, settings, time, lap.as_deref_mut()) {
                 x.clear();
                 x.extend_from_slice(&ctx.x_new);
                 return Ok(());
@@ -882,15 +885,15 @@ fn newton_iterate(
             false
         } else if cached && ctx.stale_iters < STALE_ITER_CAP && (iter > 0 || ctx.distrust == 0) {
             let bound = stale_contraction * prev_worst;
-            stale_trial(ctx, x, bound, hooks, lap.as_deref_mut())
+            stale_trial(ctx, x, bound, settings, lap.as_deref_mut())
         } else {
             false
         };
         if !stale {
             if let Err((hazard, error)) =
-                refactor_solve(ctx, key, linear, hooks, time, lap.as_deref_mut())
+                refactor_solve(ctx, key, linear, settings, time, lap.as_deref_mut())
             {
-                retry_or_fail(hooks, ctx, &mut retried, hazard, error, time)?;
+                retry_or_fail(settings, ctx, &mut retried, hazard, error, time)?;
                 continue;
             }
             if linear {
@@ -907,7 +910,7 @@ fn newton_iterate(
                 if let Some(l) = lap.as_deref_mut() {
                     l.lap(Phase::Residual);
                 }
-                if let Some(flight) = hooks.flight {
+                if let Some(flight) = flight {
                     flight.record_iteration(time, dt, (iter + 1) as u64, worst, step_index);
                 }
                 if converged {
@@ -916,7 +919,7 @@ fn newton_iterate(
                 prev_worst = worst;
             }
             Err(bad_index) => {
-                if let Some(flight) = hooks.flight {
+                if let Some(flight) = flight {
                     flight.record_iteration(time, dt, (iter + 1) as u64, f64::INFINITY, bad_index);
                 }
                 // A transient overflow (a bad stale step, a corrupted
@@ -925,7 +928,7 @@ fn newton_iterate(
                 // system fails again.
                 let hazard = NumericalHazard::NonFinite;
                 let error = AnalysisError::Numerical { hazard, time };
-                retry_or_fail(hooks, ctx, &mut retried, hazard, error, time)?;
+                retry_or_fail(settings, ctx, &mut retried, hazard, error, time)?;
             }
         }
     }
@@ -945,7 +948,7 @@ fn newton_iterate(
 /// caller refactorises in the same iteration.
 fn exact_solve(
     ctx: &mut SolverContext,
-    hooks: &SolveHooks<'_>,
+    settings: &SolveSettings,
     time: f64,
     lap: Option<&mut LapTimer>,
 ) -> bool {
@@ -954,20 +957,20 @@ fn exact_solve(
     if let Some(l) = lap {
         l.lap(Phase::BackSubstitute);
     }
-    let gate = gated_solve(ctx, &factor, hooks);
+    let gate = gated_solve(ctx, &factor, settings);
     ctx.factor = Some((key, factor));
     match gate {
         Ok(()) => {
-            if let Some(metrics) = hooks.metrics {
+            if let Some(metrics) = &settings.metrics {
                 metrics.factor_reuse_hit();
             }
             true
         }
         Err(hazard) => {
-            if let Some(metrics) = hooks.metrics {
+            if let Some(metrics) = &settings.metrics {
                 metrics.demotion();
             }
-            note_hazard(hooks, hazard, "demote:refactor", time);
+            note_hazard(settings, hazard, "demote:refactor", time);
             false
         }
     }
@@ -982,7 +985,7 @@ fn stale_trial(
     ctx: &mut SolverContext,
     x: &[f64],
     bound: f64,
-    hooks: &SolveHooks<'_>,
+    settings: &SolveSettings,
     lap: Option<&mut LapTimer>,
 ) -> bool {
     let (_, factor) = ctx.factor.as_ref().expect("cached factor present");
@@ -1013,7 +1016,7 @@ fn stale_trial(
         ctx.distrust = DISTRUST_SOLVES;
         return false;
     }
-    if let Some(metrics) = hooks.metrics {
+    if let Some(metrics) = &settings.metrics {
         metrics.factor_reuse_hit();
     }
     ctx.stale_iters += 1;
@@ -1037,13 +1040,14 @@ fn refactor_solve(
     ctx: &mut SolverContext,
     key: FactorKey,
     linear: bool,
-    hooks: &SolveHooks<'_>,
+    settings: &SolveSettings,
     time: f64,
     mut lap: Option<&mut LapTimer>,
 ) -> Result<(), (NumericalHazard, AnalysisError)> {
-    if let Some(metrics) = hooks.metrics {
+    if let Some(metrics) = &settings.metrics {
         metrics.factor_reuse_miss();
     }
+    let chaos = settings.numeric_chaos.as_deref();
     let same_key = matches!(&ctx.factor, Some((k, _)) if *k == key);
     let reuse = ctx.factor.take().map(|(_, f)| f);
     ctx.stale_iters = 0;
@@ -1051,7 +1055,7 @@ fn refactor_solve(
     // Numeric-chaos hook: a forced pivot breakdown takes the same
     // recovery path as a genuinely unfactorable system would, without
     // needing one in the netlist.
-    let factored = if hooks.chaos.is_some_and(|c| c.fire(NumericSite::Pivot)) {
+    let factored = if chaos.is_some_and(|c| c.fire(NumericSite::Pivot)) {
         Err(SingularMatrixError { row: 0 })
     } else {
         sys.factor(&mut ctx.ws, reuse)
@@ -1067,7 +1071,7 @@ fn refactor_solve(
     }
     // Numeric-chaos hook: corrupting a pivot hands the acceptance gate
     // a realistically-wrong factorisation.
-    if hooks.chaos.is_some_and(|c| c.fire(NumericSite::Perturb)) {
+    if chaos.is_some_and(|c| c.fire(NumericSite::Perturb)) {
         factor.chaos_perturb_pivot(1.5);
     }
     // Advisory hazards on fresh factorisations: flagged for diagnosis,
@@ -1075,10 +1079,10 @@ fn refactor_solve(
     // convergence tests decide whether the answer stands; the counters
     // tell the postmortem why it may not.
     if factor.pivot_growth() > GROWTH_LIMIT {
-        note_hazard(hooks, NumericalHazard::PivotGrowth, "advisory", time);
+        note_hazard(settings, NumericalHazard::PivotGrowth, "advisory", time);
     }
     if !same_key && factor.condest(sys.norm_one()) > COND_LIMIT {
-        note_hazard(hooks, NumericalHazard::IllConditioned, "advisory", time);
+        note_hazard(settings, NumericalHazard::IllConditioned, "advisory", time);
     }
     factor.solve_into(&ctx.b, &mut ctx.x_new);
     if let Some(l) = lap {
@@ -1086,11 +1090,11 @@ fn refactor_solve(
     }
     // Numeric-chaos hook: a poisoned solution exercises the non-finite
     // checks downstream of every fresh solve.
-    if hooks.chaos.is_some_and(|c| c.fire(NumericSite::Nan)) {
+    if chaos.is_some_and(|c| c.fire(NumericSite::Nan)) {
         ctx.x_new[0] = f64::NAN;
     }
     if linear {
-        gated_solve(ctx, &factor, hooks)
+        gated_solve(ctx, &factor, settings)
             .map_err(|hazard| (hazard, AnalysisError::Numerical { hazard, time }))?;
     }
     ctx.factor = Some((key, factor));
@@ -1109,14 +1113,14 @@ fn refactor_solve(
 fn gated_solve(
     ctx: &mut SolverContext,
     factor: &LinearFactor,
-    hooks: &SolveHooks<'_>,
+    settings: &SolveSettings,
 ) -> Result<(), NumericalHazard> {
     let (_, sys) = ctx.sys.as_ref().expect("system prepared");
     let (rnorm, scale) = sys.residual_gate_into(&ctx.x_new, &ctx.b, &mut ctx.resid);
     if rnorm <= RESID_GATE_TOL * scale {
         return Ok(());
     }
-    if let Some(metrics) = hooks.metrics {
+    if let Some(metrics) = &settings.metrics {
         metrics.refinement_round();
     }
     let b = &ctx.b;
@@ -1145,7 +1149,7 @@ fn gated_solve(
 /// same solve is terminal and returns `error`, so a persistent hazard
 /// reaches its typed error promptly.
 fn retry_or_fail(
-    hooks: &SolveHooks<'_>,
+    settings: &SolveSettings,
     ctx: &mut SolverContext,
     retried: &mut bool,
     hazard: NumericalHazard,
@@ -1154,13 +1158,13 @@ fn retry_or_fail(
 ) -> Result<(), AnalysisError> {
     ctx.invalidate();
     if std::mem::replace(retried, true) {
-        note_hazard(hooks, hazard, "terminal", time);
+        note_hazard(settings, hazard, "terminal", time);
         return Err(error);
     }
-    if let Some(metrics) = hooks.metrics {
+    if let Some(metrics) = &settings.metrics {
         metrics.demotion();
     }
-    note_hazard(hooks, hazard, "demote:refactor", time);
+    note_hazard(settings, hazard, "demote:refactor", time);
     Ok(())
 }
 
@@ -1228,7 +1232,7 @@ mod tests {
     fn newton_dc(
         nl: &Netlist,
         gmin: f64,
-        hooks: SolveHooks<'_>,
+        settings: &SolveSettings,
     ) -> (MnaLayout, Vec<f64>, Result<(), AnalysisError>) {
         let layout = MnaLayout::new(nl);
         let mut x = vec![0.0; layout.size()];
@@ -1244,7 +1248,7 @@ mod tests {
             &params,
             &NewtonOptions::default(),
             None,
-            hooks,
+            settings,
             &mut SolverContext::default(),
             &mut x,
         );
@@ -1252,7 +1256,7 @@ mod tests {
     }
 
     fn solve_dc(nl: &Netlist) -> (MnaLayout, Vec<f64>) {
-        let (layout, x, result) = newton_dc(nl, 1e-12, SolveHooks::none());
+        let (layout, x, result) = newton_dc(nl, 1e-12, &SolveSettings::default());
         result.unwrap();
         (layout, x)
     }
@@ -1425,17 +1429,17 @@ mod tests {
         // the single refactor retry: the solve lands on the unarmed
         // answer bit for bit, one Newton iteration later.
         let (nl, _) = nmos_diode();
-        let plain = SolverMetrics::new();
-        let (_, want, result) = newton_dc(&nl, 1e-12, SolveHooks::metrics(Some(&plain)));
+        let plain = Arc::new(SolverMetrics::new());
+        let settings = SolveSettings::default().metrics(Arc::clone(&plain));
+        let (_, want, result) = newton_dc(&nl, 1e-12, &settings);
         result.unwrap();
-        let armed = SolverMetrics::new();
+        let armed = Arc::new(SolverMetrics::new());
         let chaos = obs::NumericChaosPlan::parse("pivot@0").unwrap().arm();
-        let hooks = SolveHooks {
-            metrics: Some(&armed),
-            chaos: Some(&chaos),
-            ..SolveHooks::none()
+        let settings = SolveSettings {
+            numeric_chaos: Some(Arc::new(chaos)),
+            ..SolveSettings::default().metrics(Arc::clone(&armed))
         };
-        let (_, got, result) = newton_dc(&nl, 1e-12, hooks);
+        let (_, got, result) = newton_dc(&nl, 1e-12, &settings);
         result.unwrap();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&want));
@@ -1452,8 +1456,9 @@ mod tests {
         let b_node = nl.node("b");
         nl.resistor("R1", a, b_node, 1e3);
         // Nothing connects to ground: singular without gmin.
-        let metrics = SolverMetrics::new();
-        let (_, _, result) = newton_dc(&nl, 0.0, SolveHooks::metrics(Some(&metrics)));
+        let metrics = Arc::new(SolverMetrics::new());
+        let settings = SolveSettings::default().metrics(Arc::clone(&metrics));
+        let (_, _, result) = newton_dc(&nl, 0.0, &settings);
         assert!(
             matches!(result, Err(AnalysisError::SingularMatrix { .. })),
             "{result:?}"

@@ -8,9 +8,9 @@
 
 use crate::dc::{DcOptions, OperatingPoint};
 use crate::devices::Device;
-use crate::flight::SolveHooks;
 use crate::mna::{newton_solve, CompanionMode, MnaLayout, StampParams};
 use crate::netlist::{DeviceId, Netlist, NodeId};
+use crate::robust::SolveSettings;
 use crate::solver::SolverContext;
 use crate::source::SourceWaveform;
 use crate::AnalysisError;
@@ -146,7 +146,7 @@ pub fn dc_sweep(
             &params,
             &options.newton,
             None,
-            SolveHooks::none(),
+            &SolveSettings::default(),
             &mut SolverContext::default(),
             &mut x,
         );

@@ -1,20 +1,16 @@
 //! Transient (time-domain) analysis.
 
-use crate::dc::{dc_operating_point_metered, dc_operating_point_solver, DcOptions};
+use crate::dc::{dc_operating_point_solver, dc_operating_point_with, DcOptions};
 use crate::devices::Device;
-use crate::flight::{FlightRecorder, SolveHooks, SolvePhase};
-use crate::metrics::SolverMetrics;
+use crate::flight::SolvePhase;
 use crate::mna::{
     newton_solve, CompanionMode, Integrator, MnaLayout, NewtonOptions, ReactiveHistory, StampParams,
 };
 use crate::netlist::{DeviceId, Netlist, NodeId};
-use crate::robust::{BudgetClock, CancelToken, SolveBudget, SolveSettings, DEFAULT_MAX_STEPS};
-use crate::solver::{Backend, SolverContext, WarmStart};
+use crate::robust::{BudgetClock, SolveSettings};
+use crate::solver::SolverContext;
 use crate::waveform::Waveform;
 use crate::AnalysisError;
-
-use std::sync::Arc;
-use std::time::Instant;
 
 /// Breakpoint comparisons use a tolerance relative to the analysis
 /// horizon rather than an absolute epsilon, so behaviour is invariant
@@ -67,14 +63,9 @@ pub struct TransientAnalysis {
     start: StartCondition,
     newton: NewtonOptions,
     gmin: f64,
-    budget: SolveBudget,
-    metrics: Option<Arc<SolverMetrics>>,
-    flight: Option<Arc<FlightRecorder>>,
-    cancel: Option<CancelToken>,
-    profile: Option<Arc<obs::profile::PhaseProfiler>>,
-    backend: Backend,
-    warm_start: Option<Arc<WarmStart>>,
-    numeric_chaos: Option<Arc<obs::NumericChaosState>>,
+    /// Budget, backend, warm start and observers for every solve of the
+    /// run. Its rung has already been applied to the fields above.
+    settings: SolveSettings,
 }
 
 impl TransientAnalysis {
@@ -95,28 +86,8 @@ impl TransientAnalysis {
             start: StartCondition::OperatingPoint,
             newton: NewtonOptions::default(),
             gmin: 1e-12,
-            budget: SolveBudget::unlimited().steps(DEFAULT_MAX_STEPS),
-            metrics: None,
-            flight: None,
-            cancel: None,
-            profile: None,
-            backend: Backend::default(),
-            warm_start: None,
-            numeric_chaos: None,
+            settings: SolveSettings::default(),
         }
-    }
-
-    /// Selects the linear-solver backend (default: sparse).
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Seeds the DC starting point from a previously solved golden
-    /// operating point instead of the zero vector.
-    pub fn warm_start(mut self, warm: Arc<WarmStart>) -> Self {
-        self.warm_start = Some(warm);
-        self
     }
 
     /// Selects the integration rule (default: trapezoidal).
@@ -151,51 +122,16 @@ impl TransientAnalysis {
         self
     }
 
-    /// Installs a resource budget. The default limits the analysis to
-    /// 50 million attempted timesteps with no wall-clock ceiling.
-    pub fn budget(mut self, budget: SolveBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Installs a [`SolverMetrics`] handle: Newton iterations, step
-    /// accept/reject counts and dt shrinks are counted on it, and an
-    /// `anasim.transient` span is reported to its recorder per run.
-    pub fn metrics(mut self, metrics: Arc<SolverMetrics>) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// Arms a [`FlightRecorder`]: every Newton iteration of the DC
-    /// start and the time-march is captured into its bounded ring, so a
-    /// failure can be frozen into an [`obs::Postmortem`] afterwards.
-    pub fn flight(mut self, flight: Arc<FlightRecorder>) -> Self {
-        self.flight = Some(flight);
-        self
-    }
-
-    /// Attaches a [`CancelToken`]: raising it from any thread makes the
-    /// run abort with [`AnalysisError::Cancelled`] within one Newton
-    /// iteration.
-    pub fn cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = Some(cancel);
-        self
-    }
-
-    /// Arms a phase profiler: the run's wall time is attributed across
-    /// the [`obs::profile::Phase`] taxonomy (stamping, device
-    /// evaluation, LU factor/solve, residual update, timestep control).
-    pub fn profile(mut self, profile: Arc<obs::profile::PhaseProfiler>) -> Self {
-        self.profile = Some(profile);
-        self
-    }
-
     /// Applies a complete [`SolveSettings`]: the escalation-rung scaling
-    /// (timestep, integrator, `gmin`) plus the resource budget.
+    /// (timestep, integrator, `gmin`), then the settings themselves —
+    /// resource budget, linear-algebra backend, golden warm start and
+    /// observers (metrics, flight recorder, cancellation token, phase
+    /// profiler, numeric chaos) — replacing any applied before.
     ///
     /// This is how fault campaigns retry a failed extraction with a more
     /// conservative configuration without rebuilding the analysis by
-    /// hand.
+    /// hand. The default is [`SolveSettings::default`]: 50 million
+    /// attempted timesteps, no wall-clock ceiling, nothing armed.
     pub fn with_settings(mut self, settings: &SolveSettings) -> Self {
         let rung = settings.rung;
         self.dt *= rung.dt_scale;
@@ -206,26 +142,7 @@ impl TransientAnalysis {
         if let Some(gmin) = rung.gmin {
             self.gmin = gmin;
         }
-        self.budget = settings.budget;
-        if let Some(metrics) = &settings.metrics {
-            self.metrics = Some(Arc::clone(metrics));
-        }
-        if let Some(flight) = &settings.flight {
-            self.flight = Some(Arc::clone(flight));
-        }
-        if let Some(cancel) = &settings.cancel {
-            self.cancel = Some(cancel.clone());
-        }
-        if let Some(profile) = &settings.profile {
-            self.profile = Some(Arc::clone(profile));
-        }
-        self.backend = settings.backend;
-        if let Some(warm) = &settings.warm_start {
-            self.warm_start = Some(Arc::clone(warm));
-        }
-        if let Some(chaos) = &settings.numeric_chaos {
-            self.numeric_chaos = Some(Arc::clone(chaos));
-        }
+        self.settings = settings.clone();
         self
     }
 
@@ -236,41 +153,33 @@ impl TransientAnalysis {
     /// Returns [`AnalysisError::NoConvergence`] if a timestep cannot be
     /// solved even at the minimum step size,
     /// [`AnalysisError::SingularMatrix`] for structurally singular
-    /// circuits, or [`AnalysisError::BudgetExceeded`] when the
-    /// [`SolveBudget`] runs out of steps or wall-clock time.
+    /// circuits, [`AnalysisError::BudgetExceeded`] when the
+    /// [`crate::robust::SolveBudget`] runs out of steps or wall-clock
+    /// time, or [`AnalysisError::Cancelled`] once the settings' cancel
+    /// token is raised — the DC start included.
     pub fn run(&self, netlist: &Netlist) -> Result<TransientResult, AnalysisError> {
-        let started = Instant::now();
-        let result = self.run_inner(netlist);
-        if let Some(metrics) = &self.metrics {
-            metrics.record_span("anasim.transient", started.elapsed());
-        }
-        result
-    }
-
-    fn run_inner(&self, netlist: &Netlist) -> Result<TransientResult, AnalysisError> {
+        let settings = &self.settings;
+        // The budget covers the whole run: the DC start polls the same
+        // clock as the march, though only the march charges steps.
+        let mut clock = BudgetClock::new(settings.budget).with_cancel(settings.cancel.clone());
         let layout = MnaLayout::new(netlist);
         let mut history = ReactiveHistory::new(netlist);
-        let hooks = SolveHooks {
-            metrics: self.metrics.as_deref(),
-            flight: self.flight.as_deref(),
-            profile: self.profile.as_deref(),
-            chaos: self.numeric_chaos.as_deref(),
-        };
         // Everything in this run not attributed to a nested phase (the
         // Newton solve internals, the DC start) is timestep control:
         // step selection, history updates, dt halving, result storage.
-        let _march = hooks
+        let _march = settings
             .profile
+            .as_ref()
             .map(|p| p.enter(obs::profile::Phase::StepControl));
-        let metrics = hooks.metrics;
-        if let Some(flight) = hooks.flight {
+        let metrics = settings.metrics.as_deref();
+        if let Some(flight) = &settings.flight {
             flight.install_names(netlist, &layout);
         }
 
         // One solver context serves the DC start and the whole march:
         // the sparse symbolic analysis, baseline stamps and LU factors
         // it accumulates are reused across every timestep.
-        let mut ctx = SolverContext::new(self.backend);
+        let mut ctx = SolverContext::new(settings.backend);
 
         // --- Initial condition ------------------------------------------
         let mut x = match self.start {
@@ -282,15 +191,15 @@ impl TransientAnalysis {
                         gmin: self.gmin,
                         time: 0.0,
                     },
-                    hooks,
-                    self.warm_start.as_deref(),
+                    settings,
+                    Some(&clock),
                     &mut ctx,
                 )?;
                 op.into_solution()
             }
             StartCondition::Uic => vec![0.0; layout.size()],
         };
-        if let Some(flight) = hooks.flight {
+        if let Some(flight) = &settings.flight {
             flight.set_phase(SolvePhase::Transient);
         }
         seed_history(netlist, &layout, &x, self.start, &mut history);
@@ -328,7 +237,6 @@ impl TransientAnalysis {
         // Previous accepted solution and step, for the linear
         // extrapolation predictor.
         let mut prev: Option<(Vec<f64>, f64)> = None;
-        let mut clock = BudgetClock::new(self.budget).with_cancel(self.cancel.clone());
 
         while t < self.t_stop - 1e-15 * self.t_stop {
             clock.charge_step(t)?;
@@ -389,7 +297,7 @@ impl TransientAnalysis {
                     &params,
                     &self.newton,
                     Some(&clock),
-                    hooks,
+                    settings,
                     &mut ctx,
                     &mut x_try,
                 ) {
@@ -594,7 +502,6 @@ pub struct TransientSession {
     gmin: f64,
     /// Damp the first step after a source rewrite or session start.
     post_discontinuity: bool,
-    metrics: Option<Arc<SolverMetrics>>,
     /// Persistent solver state: sparse structure, baseline stamps and
     /// LU factors survive between `advance_to` calls.
     ctx: SolverContext,
@@ -616,14 +523,13 @@ impl TransientSession {
         let layout = MnaLayout::new(netlist);
         let newton = NewtonOptions::default();
         let gmin = 1e-12;
-        let op = dc_operating_point_metered(
+        let op = dc_operating_point_with(
             netlist,
             &DcOptions {
                 newton,
                 gmin,
                 time: 0.0,
             },
-            None,
         )?;
         let x = op.into_solution();
         let mut history = ReactiveHistory::new(netlist);
@@ -640,16 +546,8 @@ impl TransientSession {
             newton,
             gmin,
             post_discontinuity: true,
-            metrics: None,
             ctx: SolverContext::default(),
         })
-    }
-
-    /// Installs a [`SolverMetrics`] handle counting the session's Newton
-    /// iterations and step accept/reject totals.
-    pub fn with_metrics(mut self, metrics: Arc<SolverMetrics>) -> Self {
-        self.metrics = Some(metrics);
-        self
     }
 
     /// Present simulation time, seconds.
@@ -765,15 +663,12 @@ impl TransientSession {
                     &params,
                     &self.newton,
                     None,
-                    SolveHooks::metrics(self.metrics.as_deref()),
+                    &SolveSettings::default(),
                     &mut self.ctx,
                     &mut x_try,
                 ) {
                     Ok(()) => {
                         self.t += dt_try;
-                        if let Some(metrics) = &self.metrics {
-                            metrics.step_accepted();
-                        }
                         update_history(
                             &self.netlist,
                             &self.layout,
@@ -789,10 +684,6 @@ impl TransientSession {
                     Err(
                         AnalysisError::NoConvergence { .. } | AnalysisError::Numerical { .. },
                     ) if dt_try / 2.0 >= self.min_dt => {
-                        if let Some(metrics) = &self.metrics {
-                            metrics.step_rejected();
-                            metrics.dt_shrink();
-                        }
                         dt_try /= 2.0;
                     }
                     Err(e) => return Err(e),
@@ -996,12 +887,20 @@ mod tests {
         assert!(session.voltage(out) > 0.0);
     }
 
+    /// Settings carrying only `budget`.
+    fn budgeted(budget: crate::robust::SolveBudget) -> SolveSettings {
+        SolveSettings {
+            budget,
+            ..SolveSettings::default()
+        }
+    }
+
     #[test]
     fn step_budget_is_reported_as_budget_exceeded() {
         use crate::robust::SolveBudget;
         let (nl, _) = rc_circuit(1e3, 1e-6);
         let err = TransientAnalysis::new(5e-3, 5e-6)
-            .budget(SolveBudget::unlimited().steps(10))
+            .with_settings(&budgeted(SolveBudget::unlimited().steps(10)))
             .run(&nl)
             .unwrap_err();
         assert!(
@@ -1022,7 +921,7 @@ mod tests {
         use std::time::Duration;
         let (nl, _) = rc_circuit(1e3, 1e-6);
         let err = TransientAnalysis::new(5e-3, 5e-6)
-            .budget(SolveBudget::unlimited().wall(Duration::ZERO))
+            .with_settings(&budgeted(SolveBudget::unlimited().wall(Duration::ZERO)))
             .run(&nl)
             .unwrap_err();
         assert!(
@@ -1097,7 +996,7 @@ mod tests {
 
     #[test]
     fn with_settings_applies_rung_scaling() {
-        use crate::robust::{SolveBudget, SolveSettings, SolverRung};
+        use crate::robust::{SolveBudget, SolverRung};
         let base = TransientAnalysis::new(1e-3, 1e-6);
         let settings = SolveSettings {
             rung: SolverRung {
@@ -1106,14 +1005,7 @@ mod tests {
                 force_backward_euler: true,
                 gmin: Some(1e-9),
             },
-            budget: SolveBudget::unlimited().steps(123),
-            metrics: None,
-            flight: None,
-            cancel: None,
-            profile: None,
-            backend: crate::solver::Backend::default(),
-            warm_start: None,
-            numeric_chaos: None,
+            ..budgeted(SolveBudget::unlimited().steps(123))
         };
         let tuned = base.clone().with_settings(&settings);
         assert!((tuned.dt - 0.5e-6).abs() < 1e-18);
@@ -1121,7 +1013,7 @@ mod tests {
         assert!((tuned.min_dt - 1e-6 / 1024.0 * 0.5 * 4.0).abs() < 1e-18);
         assert_eq!(tuned.integrator, Integrator::BackwardEuler);
         assert_eq!(tuned.gmin, 1e-9);
-        assert_eq!(tuned.budget.max_steps, Some(123));
+        assert_eq!(tuned.settings.budget.max_steps, Some(123));
         // A nominal rung leaves the analysis unchanged apart from budget.
         let nominal = base.clone().with_settings(&SolveSettings::default());
         assert_eq!(nominal.dt, base.dt);
@@ -1129,38 +1021,32 @@ mod tests {
     }
 
     #[test]
-    fn pre_raised_cancel_token_aborts_the_run() {
-        use crate::robust::CancelToken;
-
-        let (nl, _) = rc_circuit(1e3, 1e-6);
-        let token = CancelToken::new();
-        token.cancel();
-        let err = TransientAnalysis::new(1e-3, 10e-6)
-            .cancel(token)
-            .run(&nl)
-            .unwrap_err();
-        assert_eq!(err, AnalysisError::Cancelled);
-    }
-
-    #[test]
     fn cancel_token_arrives_through_with_settings() {
-        use crate::robust::{CancelToken, SolveSettings};
+        use crate::metrics::SolverMetrics;
+        use crate::robust::CancelToken;
+        use std::sync::Arc;
 
         let (nl, _) = rc_circuit(1e3, 1e-6);
         let token = CancelToken::new();
         token.cancel();
-        let settings = SolveSettings::default().cancel(token);
+        let metrics = Arc::new(SolverMetrics::new());
+        let settings = SolveSettings {
+            cancel: Some(token),
+            ..SolveSettings::default().metrics(Arc::clone(&metrics))
+        };
         let err = TransientAnalysis::new(1e-3, 10e-6)
             .with_settings(&settings)
             .run(&nl)
             .unwrap_err();
         assert_eq!(err, AnalysisError::Cancelled);
+        // The DC start polls the run's clock too, so a pre-raised token
+        // stops the run before its first Newton iteration.
+        assert_eq!(metrics.snapshot().newton_iterations, 0);
     }
 
     #[test]
     fn metrics_count_steps_and_newton_iterations() {
         use crate::metrics::SolverMetrics;
-        use crate::robust::SolveSettings;
         use std::sync::Arc;
 
         let (nl, _) = rc_circuit(1e3, 1e-6);
@@ -1181,27 +1067,9 @@ mod tests {
         // is no cross-analysis bleed-through.
         let fresh = Arc::new(SolverMetrics::new());
         TransientAnalysis::new(1e-4, 10e-6)
-            .metrics(Arc::clone(&fresh))
+            .with_settings(&SolveSettings::default().metrics(Arc::clone(&fresh)))
             .run(&nl)
             .unwrap();
         assert!(fresh.snapshot().steps_accepted < snap.steps_accepted);
-    }
-
-    #[test]
-    fn metrics_record_transient_and_dc_spans() {
-        use crate::metrics::SolverMetrics;
-        use obs::AggregatingRecorder;
-        use std::sync::Arc;
-
-        let (nl, _) = rc_circuit(1e3, 1e-6);
-        let recorder = Arc::new(AggregatingRecorder::new());
-        let metrics = Arc::new(SolverMetrics::with_recorder(recorder.clone()));
-        TransientAnalysis::new(1e-4, 10e-6)
-            .metrics(metrics)
-            .run(&nl)
-            .unwrap();
-        let agg = recorder.snapshot();
-        assert_eq!(agg.spans["anasim.transient"].count(), 1);
-        assert_eq!(agg.spans["anasim.dc"].count(), 1);
     }
 }

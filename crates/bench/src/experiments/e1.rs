@@ -9,6 +9,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use anasim::metrics::{SolverMetrics, SolverSnapshot, COUNTER_NAMES};
+use anasim::robust::SolveSettings;
 use macrolib::process::ProcessParams;
 use msbist::adc::circuit::CircuitAdc;
 use msbist::bist::StepGenerator;
@@ -120,12 +121,13 @@ pub fn run_instrumented(sim_dt: f64, profile: Option<Arc<PhaseProfiler>>) -> E1R
         metrics = metrics.with_profile(Arc::clone(p));
     }
     let metrics = Arc::new(metrics);
-    let mut adc = CircuitAdc::new(ProcessParams::nominal())
+    let settings = SolveSettings {
+        profile,
+        ..SolveSettings::default().metrics(Arc::clone(&metrics))
+    };
+    let adc = CircuitAdc::new(ProcessParams::nominal())
         .with_sim_dt(sim_dt)
-        .with_metrics(Arc::clone(&metrics));
-    if let Some(p) = profile {
-        adc = adc.with_profile(p);
-    }
+        .with_settings(&settings);
     let generator = StepGenerator::paper();
     let rows = generator
         .levels()
@@ -176,8 +178,9 @@ mod tests {
         assert!(!armed.solver.phases.is_empty());
         assert_eq!(profiler.snapshot(), armed.solver.phases);
         // Canonical counters are wall-clock-free: armed and disarmed
-        // runs agree exactly.
+        // runs agree exactly, and so do the measured fall times.
         assert_eq!(armed.solver.as_array(), report.solver.as_array());
+        assert_eq!(armed.rows, report.rows);
     }
 
     #[test]

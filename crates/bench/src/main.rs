@@ -567,16 +567,20 @@ fn render_profile_table(snapshot: &PhaseSnapshot, entries: &[BenchEntry]) -> Str
     ));
     for e in entries {
         let attributed_ms = e.phases.total_ns() as f64 / 1e6;
+        // Phase time is summed over the campaign workers, so the share
+        // is of their capacity, `wall_ms × workers`, not of wall time.
+        let capacity_ms = e.wall_ms * e.workers as f64;
         let line = if e.linear_only {
             format!("{}: linear only (no solver work to attribute)\n", e.name)
         } else {
             format!(
-                "{}: {:.3} of {:.3} ms attributed ({:.1} %)\n",
+                "{}: {:.3} of {:.3} ms × {} worker(s) attributed ({:.1} %)\n",
                 e.name,
                 attributed_ms,
                 e.wall_ms,
-                if e.wall_ms > 0.0 {
-                    100.0 * attributed_ms / e.wall_ms
+                e.workers,
+                if capacity_ms > 0.0 {
+                    100.0 * attributed_ms / capacity_ms
                 } else {
                     0.0
                 }
@@ -1022,5 +1026,37 @@ fn check_journal(path: &str, text: &str) -> ExitCode {
             eprintln!("{path}: {failure}");
         }
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn attribution_share_is_of_worker_capacity() {
+        // Two workers for 100 ms can attribute up to 200 ms between
+        // them: 150 ms of phases is 75 %, not 150 %.
+        let mut phases = PhaseSnapshot::default();
+        phases.ns[Phase::Factor as usize] = 150_000_000;
+        phases.calls[Phase::Factor as usize] = 1;
+        let entry = BenchEntry {
+            name: "e6".to_owned(),
+            wall_ms: 100.0,
+            newton_iterations: 1,
+            linear_only: false,
+            workers: 2,
+            factor_reuse_hits: 0,
+            factor_reuse_misses: 0,
+            hazards: 0,
+            demotions: 0,
+            refinement_rounds: 0,
+            phases,
+        };
+        let table = render_profile_table(&phases, &[entry]);
+        assert!(
+            table.contains("e6: 150.000 of 100.000 ms × 2 worker(s) attributed (75.0 %)"),
+            "{table}"
+        );
     }
 }

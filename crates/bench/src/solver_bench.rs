@@ -94,8 +94,8 @@ pub struct BenchEntry {
     /// Numerical hazards detected across every solve of the experiment
     /// (all `solver.hazard.*` categories summed).
     pub hazards: u64,
-    /// Tier demotions the hazards forced (all `solver.demote.*`
-    /// rungs summed).
+    /// Hazards answered by the solver's one refactor retry
+    /// (`solver.demote.refactor`).
     pub demotions: u64,
     /// Iterative-refinement rounds spent at the residual acceptance
     /// gate when vetting reused factorisations.

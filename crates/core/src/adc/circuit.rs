@@ -14,17 +14,14 @@
 //! *decrease* linearly with input amplitude (2.6 ms at 0 V down to
 //! 0.1 ms at 2.5 V).
 
-use std::sync::Arc;
-
-use anasim::metrics::SolverMetrics;
 use anasim::netlist::Netlist;
+use anasim::robust::SolveSettings;
 use anasim::source::SourceWaveform;
 use anasim::transient::TransientAnalysis;
 use anasim::waveform::Waveform;
 use anasim::AnalysisError;
 use macrolib::opamp::{BehavioralOpamp, OpampParams};
 use macrolib::process::ProcessParams;
-use obs::profile::PhaseProfiler;
 use sigproc::measure::{first_crossing_after, CrossingDirection};
 
 use super::AdcConverter;
@@ -55,10 +52,8 @@ pub struct CircuitAdc {
     clock_hz: f64,
     /// Transient step used for conversion runs.
     sim_dt: f64,
-    /// Solver-effort accounting shared across conversion runs.
-    metrics: Option<Arc<SolverMetrics>>,
-    /// Phase cost-attribution profiler shared across conversion runs.
-    profile: Option<Arc<PhaseProfiler>>,
+    /// Solver settings every conversion run is armed with.
+    settings: SolveSettings,
 }
 
 impl CircuitAdc {
@@ -72,8 +67,7 @@ impl CircuitAdc {
             full_count: 250,
             clock_hz: 100e3,
             sim_dt: 4e-6,
-            metrics: None,
-            profile: None,
+            settings: SolveSettings::default(),
         }
     }
 
@@ -88,18 +82,14 @@ impl CircuitAdc {
         self
     }
 
-    /// Attaches a shared solver-effort counter: every conversion's
-    /// transient run accumulates into it, so callers (the bench
-    /// sidecar) can report the macro's true Newton cost instead of 0.
-    pub fn with_metrics(mut self, metrics: Arc<SolverMetrics>) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// Attaches a shared phase profiler: every conversion's transient
-    /// run attributes its wall-clock to solver phases.
-    pub fn with_profile(mut self, profile: Arc<PhaseProfiler>) -> Self {
-        self.profile = Some(profile);
+    /// Runs every conversion's transient under `settings` (see
+    /// [`TransientAnalysis::with_settings`]). Their handles are shared
+    /// across runs: a [`anasim::metrics::SolverMetrics`] lets callers
+    /// (the bench sidecar) report the macro's true Newton cost instead
+    /// of 0, and a phase profiler attributes its wall-clock to solver
+    /// phases.
+    pub fn with_settings(mut self, settings: &SolveSettings) -> Self {
+        self.settings = settings.clone();
         self
     }
 
@@ -186,14 +176,9 @@ impl CircuitAdc {
         );
 
         let t_stop = t_rst + t1 * 3.0;
-        let mut analysis = TransientAnalysis::new(t_stop, self.sim_dt);
-        if let Some(metrics) = &self.metrics {
-            analysis = analysis.metrics(Arc::clone(metrics));
-        }
-        if let Some(profile) = &self.profile {
-            analysis = analysis.profile(Arc::clone(profile));
-        }
-        let res = analysis.run(&nl)?;
+        let res = TransientAnalysis::new(t_stop, self.sim_dt)
+            .with_settings(&self.settings)
+            .run(&nl)?;
         Ok(res.voltage(op.out))
     }
 

@@ -8,7 +8,7 @@ use anasim::transient::TransientAnalysis;
 use anasim::AnalysisError;
 use faultsim::campaign::{run_campaign, run_campaign_with, CampaignConfig, CampaignReport};
 use faultsim::model::Fault;
-use sigproc::correlation::{cross_correlation, cross_correlation_timed, energy};
+use sigproc::correlation::{cross_correlation, energy};
 
 use super::stimulus::PrbsStimulus;
 
@@ -273,12 +273,7 @@ impl TransientTestBench {
             .flatten()
             .collect();
         let e_p = energy(&p);
-        // Route through the timed variant when the solve settings carry
-        // a recorder, so signature cost shows up next to solver cost.
-        let r = match settings.metrics.as_ref().and_then(|m| m.recorder()) {
-            Some(recorder) => cross_correlation_timed(&y, &p, recorder),
-            None => cross_correlation(&y, &p),
-        };
+        let r = cross_correlation(&y, &p);
         Ok(r.into_iter().map(|v| v / e_p).collect())
     }
 
@@ -346,13 +341,7 @@ impl TransientTestBench {
     ) -> Result<Vec<f64>, AnalysisError> {
         let y = self.response_with(netlist, settings)?;
         let sample_hz = 1.0 / self.stimulus.sample_period(self.samples_per_bit);
-        let window = sigproc::spectrum::Window::Hann;
-        let psd = match settings.metrics.as_ref().and_then(|m| m.recorder()) {
-            Some(recorder) => {
-                sigproc::spectrum::periodogram_timed(&y, window, sample_hz, recorder)
-            }
-            None => sigproc::spectrum::periodogram(&y, window, sample_hz),
-        };
+        let psd = sigproc::spectrum::periodogram(&y, sigproc::spectrum::Window::Hann, sample_hz);
         Ok(psd.power)
     }
 

@@ -949,18 +949,19 @@ where
         }
         Arc::new(metrics)
     };
-    let golden_settings = SolveSettings {
-        rung: SolverRung::nominal(),
+    // What every extraction shares; golden and faults add their own
+    // handles on top. The golden run always solves clean: chaos tests
+    // the recovery ladder against faults, never the reference signature.
+    let base_settings = SolveSettings {
         budget: config.budget,
-        metrics: Some(Arc::clone(&golden_metrics)),
-        flight: None,
         cancel: config.cancel.clone(),
-        profile: golden_profile.clone(),
         backend: config.backend,
-        warm_start: None,
-        // The golden run always solves clean: chaos tests the recovery
-        // ladder against faults, never the reference signature.
-        numeric_chaos: None,
+        ..SolveSettings::default()
+    };
+    let golden_settings = SolveSettings {
+        metrics: Some(Arc::clone(&golden_metrics)),
+        profile: golden_profile.clone(),
+        ..base_settings.clone()
     };
     let golden_start = Instant::now();
     let golden_sig = extract(golden, &golden_settings)?;
@@ -1128,6 +1129,15 @@ where
             .as_ref()
             .filter(|plan| !plan.is_empty())
             .map(|plan| Arc::new(plan.arm()));
+        // Built once per fault; each ladder step swaps only the rung.
+        let mut settings = SolveSettings {
+            metrics: Some(Arc::clone(&metrics)),
+            flight: flight.clone(),
+            profile: profile.clone(),
+            warm_start: warm_start.clone(),
+            numeric_chaos,
+            ..base_settings.clone()
+        };
         let start_offset = campaign_start.elapsed();
         let start = Instant::now();
 
@@ -1141,17 +1151,7 @@ where
             if let Some(flight) = &flight {
                 flight.begin_rung(i, &rung.label());
             }
-            let settings = SolveSettings {
-                rung: *rung,
-                budget: config.budget,
-                metrics: Some(Arc::clone(&metrics)),
-                flight: flight.clone(),
-                cancel: config.cancel.clone(),
-                profile: profile.clone(),
-                backend: config.backend,
-                warm_start: warm_start.clone(),
-                numeric_chaos: numeric_chaos.clone(),
-            };
+            settings.rung = *rung;
             // The extraction is the untrusted part of the engine: a
             // panicking solver must become this fault's outcome, not
             // take down the worker (which would poison the thread-pool

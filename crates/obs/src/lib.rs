@@ -8,8 +8,8 @@
 //!   iterations, accepted steps, homotopy stages);
 //! * **values** — sampled scalar observations, aggregated into
 //!   [`histogram::Histogram`]s with nearest-rank percentiles;
-//! * **spans** — named wall-clock durations recorded via the RAII
-//!   [`span::SpanTimer`] or [`span::time`].
+//! * **spans** — named wall-clock durations reported through
+//!   [`recorder::Recorder::span`] (`campaign.*`, `bench.*`).
 //!
 //! Events flow into a pluggable [`recorder::Recorder`]: the no-op
 //! default costs nothing, [`recorder::AggregatingRecorder`] is the
@@ -64,7 +64,6 @@ pub mod profile;
 pub mod recorder;
 pub mod report;
 pub mod ring;
-pub mod span;
 pub mod status;
 pub mod table;
 pub mod timeseries;

@@ -83,35 +83,6 @@ pub fn energy(a: &[f64]) -> f64 {
     a.iter().map(|v| v * v).sum()
 }
 
-/// [`cross_correlation`] timed under a `sigproc.cross_correlation` span
-/// on `recorder`.
-pub fn cross_correlation_timed(
-    a: &[f64],
-    b: &[f64],
-    recorder: &dyn obs::Recorder,
-) -> Vec<f64> {
-    obs::span::time(recorder, "sigproc.cross_correlation", || {
-        cross_correlation(a, b)
-    })
-}
-
-/// [`detection_instances`] timed under a `sigproc.detection_instances`
-/// span on `recorder`.
-///
-/// # Panics
-///
-/// As [`detection_instances`].
-pub fn detection_instances_timed(
-    golden: &[f64],
-    faulty: &[f64],
-    threshold: f64,
-    recorder: &dyn obs::Recorder,
-) -> f64 {
-    obs::span::time(recorder, "sigproc.detection_instances", || {
-        detection_instances(golden, faulty, threshold)
-    })
-}
-
 /// The paper's detection-instance metric.
 ///
 /// Compares a faulty signature against the fault-free (golden) signature
@@ -207,26 +178,6 @@ mod tests {
         let faulty = [1.0, 2.0, 1.0, 3.0];
         assert_eq!(detection_instances(&golden, &faulty, 0.5), 50.0);
         assert_eq!(detection_instances(&golden, &golden, 0.5), 0.0);
-    }
-
-    #[test]
-    fn timed_variants_match_untimed_and_record_spans() {
-        let rec = obs::AggregatingRecorder::new();
-        let a = [1.0, -0.5, 0.25, 0.7];
-        let b = [0.5, 0.25];
-        assert_eq!(
-            cross_correlation_timed(&a, &b, &rec),
-            cross_correlation(&a, &b)
-        );
-        let golden = [1.0, 1.0];
-        let faulty = [1.0, 2.0];
-        assert_eq!(
-            detection_instances_timed(&golden, &faulty, 0.5, &rec),
-            detection_instances(&golden, &faulty, 0.5)
-        );
-        let agg = rec.snapshot();
-        assert_eq!(agg.spans["sigproc.cross_correlation"].count(), 1);
-        assert_eq!(agg.spans["sigproc.detection_instances"].count(), 1);
     }
 
     #[test]

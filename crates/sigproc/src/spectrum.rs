@@ -125,23 +125,6 @@ pub fn periodogram(signal: &[f64], window: Window, sample_hz: f64) -> PowerSpect
     }
 }
 
-/// [`periodogram`] timed under a `sigproc.periodogram` span on
-/// `recorder`.
-///
-/// # Panics
-///
-/// As [`periodogram`].
-pub fn periodogram_timed(
-    signal: &[f64],
-    window: Window,
-    sample_hz: f64,
-    recorder: &dyn obs::Recorder,
-) -> PowerSpectrum {
-    obs::span::time(recorder, "sigproc.periodogram", || {
-        periodogram(signal, window, sample_hz)
-    })
-}
-
 /// Welch's method: averaged periodograms of 50 %-overlapping segments.
 ///
 /// # Panics

@@ -2,10 +2,12 @@
 //! (`macrolib`), die modelling (`msbist::device`), quick tests
 //! (`msbist::bist`), characterisation and specification checking.
 
-use mixsig::macrolib::process::VariationModel;
+use mixsig::macrolib::process::{ProcessParams, VariationModel};
+use mixsig::msbist::adc::circuit::CircuitAdc;
 use mixsig::msbist::adc::spec::AdcSpecification;
 use mixsig::msbist::adc::{AdcConverter, AdcErrorModel, DualSlopeAdc};
 use mixsig::msbist::bist::quick_test::{run_quick_tests, QuickTestLimits};
+use mixsig::msbist::bist::StepGenerator;
 use mixsig::msbist::charac::characterise;
 use mixsig::msbist::device::DieBatch;
 
@@ -70,4 +72,25 @@ fn conversion_time_scales_with_input() {
     let t_high = adc.conversion_time(2.4);
     assert!(t_high > t_low);
     assert!(t_high <= 5.6e-3, "worst case inside the paper spec");
+}
+
+#[test]
+fn simulated_e1_fall_times_are_pinned() {
+    // The E1 table: the circuit-level integrator's fall time for each
+    // step-generator level, at the default 4 µs simulation step. The
+    // paper measured 2.6 ms at 0 V down to 0.1 ms at 2.5 V; these are
+    // the simulator's own values, pinned so a solver change cannot
+    // move them silently.
+    const PINNED_MS: [f64; 6] = [2.607, 2.017, 1.647, 1.197, 0.807, 0.107];
+    const TOL_MS: f64 = 0.02;
+    let adc = CircuitAdc::new(ProcessParams::nominal());
+    let levels = StepGenerator::paper().levels().to_vec();
+    assert_eq!(levels.len(), PINNED_MS.len());
+    for (level, want) in levels.into_iter().zip(PINNED_MS) {
+        let got = adc.fall_time(level).expect("integrator falls") * 1e3;
+        assert!(
+            (got - want).abs() <= TOL_MS,
+            "{level} V: fall time {got:.4} ms, pinned {want} ms ± {TOL_MS}"
+        );
+    }
 }
