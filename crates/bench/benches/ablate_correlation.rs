@@ -2,7 +2,8 @@
 //! raw-vs-correlation signature quality comparison.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use msbist_bench::experiments::ablation;
+use msbist_bench::experiments::{ablation, e6};
+use msbist_bench::hooks::CampaignHooks;
 use sigproc::convolution::{convolve, convolve_fft};
 
 fn bench(c: &mut Criterion) {
@@ -19,7 +20,7 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    let s = ablation::signature_kind();
+    let s = ablation::signature_kind(&CampaignHooks::new(e6::E6_WORKERS));
     let (raw_cov, cor_cov, spec_cov) = s.coverage(40.0);
     println!(
         "\nsignature ablation (circuit 1): raw {:.0} %, correlation {:.0} %, spectral {:.0} %",

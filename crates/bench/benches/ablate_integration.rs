@@ -1,6 +1,7 @@
 //! Ablation bench: backward Euler vs trapezoidal integration on the
 //! switching-heavy SC integrator — accuracy printed, cost timed.
 
+use anasim::robust::SolveSettings;
 use criterion::{criterion_group, criterion_main, Criterion};
 use msbist_bench::experiments::ablation;
 
@@ -8,11 +9,11 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablate_integration");
     group.sample_size(10);
     group.bench_function("sc_integrator_both_rules", |b| {
-        b.iter(|| ablation::integration_rule(100e-9))
+        b.iter(|| ablation::integration_rule(100e-9, &SolveSettings::default()))
     });
     group.finish();
 
-    let a = ablation::integration_rule(50e-9);
+    let a = ablation::integration_rule(50e-9, &SolveSettings::default());
     println!(
         "\nintegration ablation: BE err {:.2} mV / {} steps, trap err {:.2} mV / {} steps",
         a.backward_euler_err * 1e3,

@@ -10,7 +10,7 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("six_level_fall_time_table", |b| {
         b.iter(|| {
-            let report = e1::run(20e-6);
+            let report = e1::run(20e-6, None);
             assert!(report.monotone_decreasing());
             report
         })
@@ -18,7 +18,7 @@ fn bench(c: &mut Criterion) {
     group.finish();
 
     // Print the regenerated table once per bench run.
-    println!("\n{}", e1::run(10e-6));
+    println!("\n{}", e1::run(10e-6, None));
 }
 
 criterion_group!(benches, bench);

@@ -13,6 +13,7 @@ use std::fmt;
 
 use anasim::mna::Integrator;
 use anasim::netlist::Netlist;
+use anasim::robust::SolveSettings;
 use anasim::source::SourceWaveform;
 use anasim::transient::TransientAnalysis;
 use macrolib::process::ProcessParams;
@@ -21,6 +22,8 @@ use msbist::adc::{AdcErrorModel, DualSlopeAdc};
 use msbist::bist::overhead::OverheadBudget;
 use msbist::bist::quick_test::{run_quick_tests, QuickTestLimits};
 use msbist::transtest::circuits::circuit1;
+
+use crate::hooks::CampaignHooks;
 
 /// Ablation 1 result: integration-rule accuracy on the SC integrator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,17 +40,9 @@ pub struct IntegrationAblation {
 
 /// Runs the integration-rule ablation: 8 cycles of the behavioural SC
 /// integrator at a +0.5 V input; the ideal output steps −73.5 mV per
-/// cycle.
-pub fn integration_rule(sim_dt: f64) -> IntegrationAblation {
-    integration_rule_with(sim_dt, &anasim::robust::SolveSettings::default())
-}
-
-/// [`integration_rule`] under explicit [`anasim::robust::SolveSettings`]
-/// (so a profiled invocation attributes these sweeps too).
-pub fn integration_rule_with(
-    sim_dt: f64,
-    settings: &anasim::robust::SolveSettings,
-) -> IntegrationAblation {
+/// cycle. The sweeps run under `settings` (so a profiled invocation
+/// attributes them too).
+pub fn integration_rule(sim_dt: f64, settings: &SolveSettings) -> IntegrationAblation {
     let run = |method: Integrator| -> (f64, usize) {
         let mut nl = Netlist::new();
         let params = ScIntegratorParams::behavioral();
@@ -114,44 +109,24 @@ impl SignatureAblation {
     }
 }
 
-/// Runs the signature ablation with the default worker count.
-pub fn signature_kind() -> SignatureAblation {
-    signature_kind_with(super::e6::E6_WORKERS)
-}
-
-/// Runs the signature ablation without hooks (no journal, no profiler).
-pub fn signature_kind_with(workers: usize) -> SignatureAblation {
-    signature_kind_hooked(workers, &crate::hooks::CampaignHooks::none())
-}
-
 /// Runs the signature ablation on circuit 1's full fault universe,
 /// using the resilient campaign engine so every fault yields a typed
 /// outcome even when an extraction fails at nominal solver settings.
-/// The three campaigns run under `hooks` (journal labels
+/// The three campaigns are armed by `hooks` (journal labels
 /// `ablation.raw` / `.correlation` / `.spectral`, phase profiling,
 /// trace lanes).
-pub fn signature_kind_hooked(
-    workers: usize,
-    hooks: &crate::hooks::CampaignHooks,
-) -> SignatureAblation {
-    use faultsim::campaign::CampaignConfig;
+pub fn signature_kind(hooks: &CampaignHooks) -> SignatureAblation {
     let c1 = circuit1(&ProcessParams::nominal());
     let raw_report = c1
         .bench
-        .run_raw_campaign_with(
-            &c1.faults,
-            &hooks.apply(CampaignConfig::new(0.1).workers(workers), "ablation.raw"),
-        )
+        .run_raw_campaign_with(&c1.faults, &hooks.campaign("ablation.raw", 0.1))
         .expect("golden must simulate");
     hooks.observe("ablation.raw", &raw_report);
     let cor_report = c1
         .bench
         .run_correlation_campaign_with(
             &c1.faults,
-            &hooks.apply(
-                CampaignConfig::new(0.01).workers(workers),
-                "ablation.correlation",
-            ),
+            &hooks.campaign("ablation.correlation", 0.01),
         )
         .expect("golden must simulate");
     hooks.observe("ablation.correlation", &cor_report);
@@ -164,10 +139,7 @@ pub fn signature_kind_hooked(
         .bench
         .run_spectral_campaign_with(
             &c1.faults,
-            &hooks.apply(
-                CampaignConfig::new(0.002 * psd_peak).workers(workers),
-                "ablation.spectral",
-            ),
+            &hooks.campaign("ablation.spectral", 0.002 * psd_peak),
         )
         .expect("golden must simulate");
     hooks.observe("ablation.spectral", &spec_report);
@@ -355,24 +327,13 @@ impl fmt::Display for AblationReport {
     }
 }
 
-/// Runs all three ablations with the default worker count.
-pub fn run() -> AblationReport {
-    run_with(super::e6::E6_WORKERS)
-}
-
-/// Runs all three ablations, the signature campaigns on `workers`
-/// threads.
-pub fn run_with(workers: usize) -> AblationReport {
-    run_with_hooks(workers, &crate::hooks::CampaignHooks::none())
-}
-
-/// [`run_with`] under campaign hooks: the signature campaigns journal,
-/// profile and trace through `hooks`, and the integration-rule sweeps
-/// run under profiler-armed solve settings.
-pub fn run_with_hooks(workers: usize, hooks: &crate::hooks::CampaignHooks) -> AblationReport {
+/// Runs all three ablations: the signature campaigns journal, profile
+/// and trace through `hooks`, and the integration-rule sweeps run under
+/// its profiler-armed solve settings.
+pub fn run(hooks: &CampaignHooks) -> AblationReport {
     AblationReport {
-        integration: integration_rule_with(50e-9, &hooks.solve_settings()),
-        signature: signature_kind_hooked(workers, hooks),
+        integration: integration_rule(50e-9, &hooks.solve_settings()),
+        signature: signature_kind(hooks),
         overhead: bist_overhead(),
     }
 }
@@ -383,7 +344,7 @@ mod tests {
 
     #[test]
     fn integration_rules_both_track_the_ideal() {
-        let a = integration_rule(50e-9);
+        let a = integration_rule(50e-9, &SolveSettings::default());
         assert!(a.backward_euler_err < 0.05, "BE err {}", a.backward_euler_err);
         assert!(a.trapezoidal_err < 0.05, "trap err {}", a.trapezoidal_err);
     }

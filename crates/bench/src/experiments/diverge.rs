@@ -22,7 +22,7 @@ use anasim::robust::SolveSettings;
 use anasim::source::SourceWaveform;
 use anasim::transient::{StartCondition, TransientAnalysis};
 use anasim::AnalysisError;
-use faultsim::campaign::{run_campaign_with, CampaignConfig, CampaignReport, FaultStatus};
+use faultsim::campaign::{run_campaign_with, CampaignReport, FaultStatus};
 use faultsim::model::Fault;
 use obs::Section;
 
@@ -139,36 +139,21 @@ impl fmt::Display for DivergeReport {
     }
 }
 
-/// Runs the divergent campaign with the flight recorder armed, serial.
-pub fn run() -> DivergeReport {
-    run_with(1)
-}
-
-/// [`run`] on `workers` threads. The report and its canonical metrics
-/// are byte-identical for any worker count.
-pub fn run_with(workers: usize) -> DivergeReport {
-    run_with_hooks(workers, &CampaignHooks::none()).expect("golden fixture must simulate")
-}
-
-/// [`run`] with crash-safety hooks: the campaign journals its frozen
-/// postmortems under the `diverge` label and polls the cancellation
-/// token at fault boundaries.
+/// Runs the divergent campaign with the flight recorder armed, under
+/// `hooks`: the campaign journals its frozen postmortems under the
+/// `diverge` label and polls the cancellation token at fault
+/// boundaries. The report and its canonical metrics are byte-identical
+/// for any worker count.
 ///
 /// # Errors
 ///
 /// [`AnalysisError::Cancelled`] on cooperative
 /// cancellation, or any golden-extraction error.
-pub fn run_with_hooks(
-    workers: usize,
-    hooks: &CampaignHooks,
-) -> Result<DivergeReport, AnalysisError> {
+pub fn run(hooks: &CampaignHooks) -> Result<DivergeReport, AnalysisError> {
     let (golden, faults) = fixture();
-    let config = hooks.apply(
-        CampaignConfig::new(0.05)
-            .workers(workers)
-            .flight(FlightRecorder::DEFAULT_CAPACITY),
-        "diverge",
-    );
+    let config = hooks
+        .campaign("diverge", 0.05)
+        .flight(FlightRecorder::DEFAULT_CAPACITY);
     let campaign = run_campaign_with(&golden, &faults, &config, tight_extract)?;
     hooks.observe("diverge", &campaign);
     Ok(DivergeReport { campaign })
@@ -180,7 +165,7 @@ mod tests {
 
     #[test]
     fn every_fault_fails_with_a_postmortem() {
-        let report = run();
+        let report = run(&CampaignHooks::new(1)).unwrap();
         assert_eq!(report.campaign.outcomes.len(), 2);
         assert_eq!(report.failed(), 2);
         let pms: Vec<_> = report.campaign.postmortems().collect();
@@ -198,7 +183,7 @@ mod tests {
 
     #[test]
     fn section_feeds_explain() {
-        let report = run();
+        let report = run(&CampaignHooks::new(1)).unwrap();
         let mut run_report = obs::RunReport::new();
         run_report.push(report.to_section());
         let json = run_report.canonical_json_string();

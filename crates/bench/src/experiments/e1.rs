@@ -107,15 +107,10 @@ impl fmt::Display for E1Report {
 /// generator's levels and measures the fall time.
 ///
 /// `sim_dt` trades accuracy for speed (4 µs default in the binary,
-/// coarser in the Criterion bench).
-pub fn run(sim_dt: f64) -> E1Report {
-    run_instrumented(sim_dt, None)
-}
-
-/// Runs E1 with solver-effort accounting, and — when `profile` is
-/// given — phase cost attribution, threaded into every conversion
-/// transient.
-pub fn run_instrumented(sim_dt: f64, profile: Option<Arc<PhaseProfiler>>) -> E1Report {
+/// coarser in the Criterion bench). Solver effort is always accounted;
+/// when `profile` is given, phase cost attribution is threaded into
+/// every conversion transient too.
+pub fn run(sim_dt: f64, profile: Option<Arc<PhaseProfiler>>) -> E1Report {
     let mut metrics = SolverMetrics::new();
     if let Some(p) = &profile {
         metrics = metrics.with_profile(Arc::clone(p));
@@ -151,7 +146,7 @@ mod tests {
 
     #[test]
     fn e1_reproduces_the_fall_time_shape() {
-        let report = run(10e-6);
+        let report = run(10e-6, None);
         assert!(report.monotone_decreasing(), "{report}");
         // The measured-data scatter in the paper is a few hundred µs;
         // our simulated macro should stay within that envelope.
@@ -160,7 +155,7 @@ mod tests {
 
     #[test]
     fn e1_accounts_its_solver_effort() {
-        let report = run(20e-6);
+        let report = run(20e-6, None);
         assert!(
             report.solver.newton_iterations > 0,
             "circuit transients must spend Newton iterations"
@@ -174,7 +169,7 @@ mod tests {
         assert!(report.solver.phases.is_empty());
 
         let profiler = Arc::new(PhaseProfiler::new());
-        let armed = run_instrumented(20e-6, Some(Arc::clone(&profiler)));
+        let armed = run(20e-6, Some(Arc::clone(&profiler)));
         assert!(!armed.solver.phases.is_empty());
         assert_eq!(profiler.snapshot(), armed.solver.phases);
         // Canonical counters are wall-clock-free: armed and disarmed
@@ -185,7 +180,7 @@ mod tests {
 
     #[test]
     fn display_renders_all_rows() {
-        let report = run(20e-6);
+        let report = run(20e-6, None);
         let text = report.to_string();
         assert!(text.contains("2.6"));
         assert_eq!(text.lines().count(), 9);

@@ -11,7 +11,7 @@ use std::fmt;
 
 use anasim::metrics::SolverSnapshot;
 use anasim::AnalysisError;
-use faultsim::campaign::{CampaignConfig, CampaignReport};
+use faultsim::campaign::CampaignReport;
 
 use crate::hooks::CampaignHooks;
 use macrolib::process::ProcessParams;
@@ -191,7 +191,6 @@ fn correlation_campaign(
     figure: &mut DetectionFigure,
     solver: &mut SolverSummary,
     circuit: &ExampleCircuit,
-    workers: usize,
     hooks: &CampaignHooks,
 ) -> Result<(), AnalysisError> {
     let golden = circuit
@@ -200,10 +199,7 @@ fn correlation_campaign(
         .expect("golden circuit must simulate");
     let peak = golden.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
     let label = format!("e6.c{}.correlation", circuit.number);
-    let config = hooks.apply(
-        CampaignConfig::new(RELATIVE_THRESHOLD * peak).workers(workers),
-        &label,
-    );
+    let config = hooks.campaign(&label, RELATIVE_THRESHOLD * peak);
     let report = circuit
         .bench
         .run_correlation_campaign_with(&circuit.faults, &config)?;
@@ -260,11 +256,10 @@ fn idd_campaign(
     figure: &mut DetectionFigure,
     solver: &mut SolverSummary,
     circuit: &ExampleCircuit,
-    workers: usize,
     hooks: &CampaignHooks,
 ) -> Result<(), AnalysisError> {
     let label = format!("e6.c{}.idd", circuit.number);
-    let config = hooks.apply(CampaignConfig::new(0.0).workers(workers), &label);
+    let config = hooks.campaign(&label, 0.0);
     let report = run_idd_campaign_with(
         &circuit.bench,
         &circuit.vdd_sources,
@@ -287,29 +282,18 @@ fn stimulus_levels(circuit: &ExampleCircuit) -> Vec<f64> {
         .collect()
 }
 
-/// Runs E6 across all three example circuits with the default worker
-/// count.
-pub fn run() -> E6Report {
-    run_with(E6_WORKERS)
-}
-
-/// Runs E6 across all three example circuits on `workers` threads. The
-/// report (and its canonical metrics) is identical for any worker
-/// count.
-pub fn run_with(workers: usize) -> E6Report {
-    run_with_hooks(workers, &CampaignHooks::none()).expect("golden circuit must simulate")
-}
-
-/// [`run_with`] with crash-safety hooks: each campaign journals under
-/// its own label (`e6.c1.correlation` ... `e6.c3.idd`) and polls the
-/// shared cancellation token at fault boundaries.
+/// Runs E6 across all three example circuits, each campaign armed by
+/// `hooks` under its own journal label (`e6.c1.correlation` ...
+/// `e6.c3.idd`) and polling the shared cancellation token at fault
+/// boundaries. The report (and its canonical metrics) is identical for
+/// any worker count.
 ///
 /// # Errors
 ///
 /// [`AnalysisError::Cancelled`] when the token was raised mid-campaign
 /// (the journal then holds a clean partial checkpoint), or any error of
 /// the golden extraction.
-pub fn run_with_hooks(workers: usize, hooks: &CampaignHooks) -> Result<E6Report, AnalysisError> {
+pub fn run(hooks: &CampaignHooks) -> Result<E6Report, AnalysisError> {
     let process = ProcessParams::nominal();
     let c1 = circuit1(&process);
     let c2 = circuit2(&process);
@@ -317,18 +301,18 @@ pub fn run_with_hooks(workers: usize, hooks: &CampaignHooks) -> Result<E6Report,
 
     let mut solver = SolverSummary::default();
     let mut correlation = DetectionFigure::new();
-    correlation_campaign(&mut correlation, &mut solver, &c1, workers, hooks)?;
-    correlation_campaign(&mut correlation, &mut solver, &c2, workers, hooks)?;
-    correlation_campaign(&mut correlation, &mut solver, &c3, workers, hooks)?;
+    correlation_campaign(&mut correlation, &mut solver, &c1, hooks)?;
+    correlation_campaign(&mut correlation, &mut solver, &c2, hooks)?;
+    correlation_campaign(&mut correlation, &mut solver, &c3, hooks)?;
 
     let mut impulse = DetectionFigure::new();
     impulse_campaign(&mut impulse, &c2, hooks);
     impulse_campaign(&mut impulse, &c3, hooks);
 
     let mut idd = DetectionFigure::new();
-    idd_campaign(&mut idd, &mut solver, &c1, workers, hooks)?;
-    idd_campaign(&mut idd, &mut solver, &c2, workers, hooks)?;
-    idd_campaign(&mut idd, &mut solver, &c3, workers, hooks)?;
+    idd_campaign(&mut idd, &mut solver, &c1, hooks)?;
+    idd_campaign(&mut idd, &mut solver, &c2, hooks)?;
+    idd_campaign(&mut idd, &mut solver, &c3, hooks)?;
 
     Ok(E6Report {
         correlation,
@@ -339,34 +323,20 @@ pub fn run_with_hooks(workers: usize, hooks: &CampaignHooks) -> Result<E6Report,
 }
 
 /// Runs only circuit 1's correlation campaign (the cheap part, used by
-/// the Criterion bench and the CI metrics smoke test).
-pub fn run_circuit1_only() -> E6Report {
-    run_circuit1_only_with(E6_WORKERS)
-}
-
-/// [`run_circuit1_only`] on `workers` threads.
-pub fn run_circuit1_only_with(workers: usize) -> E6Report {
-    run_circuit1_only_with_hooks(workers, &CampaignHooks::none())
-        .expect("golden circuit must simulate")
-}
-
-/// [`run_circuit1_only`] with crash-safety hooks. The campaign journals
-/// under the same `e6.c1.correlation` label as the full E6 run, so an
-/// interrupted `e6` invocation can be partially resumed through `e6c1`
-/// and vice versa.
+/// the Criterion bench and the CI metrics smoke test). The campaign
+/// journals under the same `e6.c1.correlation` label as the full E6
+/// run, so an interrupted `e6` invocation can be partially resumed
+/// through `e6c1` and vice versa.
 ///
 /// # Errors
 ///
 /// [`AnalysisError::Cancelled`] on cooperative cancellation, or any
 /// golden-extraction error.
-pub fn run_circuit1_only_with_hooks(
-    workers: usize,
-    hooks: &CampaignHooks,
-) -> Result<E6Report, AnalysisError> {
+pub fn run_circuit1_only(hooks: &CampaignHooks) -> Result<E6Report, AnalysisError> {
     let c1 = circuit1(&ProcessParams::nominal());
     let mut solver = SolverSummary::default();
     let mut correlation = DetectionFigure::new();
-    correlation_campaign(&mut correlation, &mut solver, &c1, workers, hooks)?;
+    correlation_campaign(&mut correlation, &mut solver, &c1, hooks)?;
     Ok(E6Report {
         correlation,
         impulse: DetectionFigure::new(),
@@ -381,8 +351,8 @@ mod tests {
 
     #[test]
     fn canonical_metrics_are_byte_identical_across_worker_counts() {
-        let serial = run_circuit1_only_with(1);
-        let parallel = run_circuit1_only_with(4);
+        let serial = run_circuit1_only(&CampaignHooks::new(1)).unwrap();
+        let parallel = run_circuit1_only(&CampaignHooks::new(4)).unwrap();
         let canonical = |r: &E6Report| {
             let mut report = obs::RunReport::new();
             report.push(r.to_section());
@@ -403,7 +373,7 @@ mod tests {
 
     #[test]
     fn circuit1_faults_are_broadly_detected() {
-        let report = run_circuit1_only();
+        let report = run_circuit1_only(&CampaignHooks::new(E6_WORKERS)).unwrap();
         let entries = report.correlation.circuit(1);
         assert_eq!(entries.len(), 16);
         // Paper shape: high detection across the board.

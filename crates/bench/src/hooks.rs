@@ -1,152 +1,71 @@
-//! Crash-safety hooks threaded from the `experiments` CLI into the
+//! Campaign arming threaded from the `experiments` CLI into the
 //! campaign-backed experiments.
 //!
-//! One [`CampaignHooks`] value carries the `--journal` / `--resume`
-//! checkpoint file and the SIGINT [`CancelToken`] down to every
-//! campaign an experiment runs. Each campaign gets its own label inside
-//! the shared journal (`e6.c1.correlation`, `e6.c2.idd`, `diverge`,
-//! ...), so a single journal file checkpoints a whole `experiments`
-//! invocation and a resumed run replays exactly the campaigns that
-//! completed.
+//! One [`CampaignHooks`] value carries the invocation's
+//! [`CampaignConfig`], armed once by the CLI with everything that
+//! changes how a campaign runs or watches it while it runs: the
+//! `--journal` / `--resume` checkpoint file (with any `--chaos` plan and
+//! `--degrade` policy), the SIGINT [`CancelToken`](anasim::robust::CancelToken),
+//! `--telemetry`, `--numeric-chaos`, `--backend` and phase profiling.
+//! Every experiment campaign is a clone of it
+//! ([`CampaignHooks::campaign`]) with its own threshold and journal
+//! label (`e6.c1.correlation`, `e6.c2.idd`, `diverge`, ...), so a single
+//! journal file checkpoints a whole `experiments` invocation and a
+//! resumed run replays exactly the campaigns that completed.
 //!
-//! The same value carries the cost-attribution side: an invocation-wide
-//! [`PhaseProfiler`] (`profile` subcommand / `--bench-json`) and a
-//! shared [`CampaignTrace`] (`--trace-json`). Experiments call
+//! Beside the config sit the sinks that only read finished reports and
+//! outlive every campaign: an invocation-wide [`PhaseProfiler`]
+//! (`profile` subcommand / `--bench-json`) and a shared
+//! [`CampaignTrace`] (`--trace-json`). Experiments call
 //! [`CampaignHooks::observe`] after each completed campaign to fold its
 //! phase rollup into the profiler and append its timeline to the trace.
 
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use anasim::robust::{CancelToken, SolveSettings};
-use anasim::solver::Backend;
-use faultsim::campaign::{CampaignConfig, CampaignReport, DegradePolicy, JournalConfig};
-use faultsim::telemetry::TelemetryConfig;
+use anasim::robust::SolveSettings;
+use faultsim::campaign::{CampaignConfig, CampaignReport};
 use faultsim::trace::CampaignTrace;
-use obs::chaos::{FaultPlan, NumericChaosPlan};
 use obs::profile::PhaseProfiler;
 
-/// Where a journaled experiment run checkpoints to.
-#[derive(Debug, Clone)]
-pub struct JournalSpec {
-    /// Journal file shared by every campaign of the invocation.
-    pub path: PathBuf,
-    /// True to replay completed faults from the journal (`--resume`);
-    /// false to journal without replaying (`--journal`, after the CLI
-    /// truncated the file).
-    pub resume: bool,
-}
-
-/// Checkpointing and cancellation context for experiment campaigns.
+/// Campaign configuration and cross-campaign sinks for experiment
+/// campaigns.
 ///
-/// The default ([`CampaignHooks::none`]) is inert: campaigns run
-/// exactly as they would without the crash-safety machinery.
-#[derive(Debug, Clone, Default)]
+/// [`CampaignHooks::new`] is inert: campaigns run exactly as they would
+/// without the crash-safety and observability machinery.
+#[derive(Debug, Clone)]
 pub struct CampaignHooks {
-    /// Journal file and mode, when `--journal`/`--resume` was given.
-    pub journal: Option<JournalSpec>,
-    /// Cooperative cancellation token, raised by the CLI's SIGINT
-    /// handler.
-    pub cancel: Option<CancelToken>,
-    /// Deterministic journal fault-injection plan (`--chaos`), applied
-    /// to every campaign journal of the invocation.
-    pub chaos: Option<FaultPlan>,
-    /// Persistent-journal-failure policy (`--degrade`).
-    pub degrade: DegradePolicy,
-    /// Invocation-wide phase profiler: arms campaign profiling and
-    /// accumulates every campaign's phase rollup.
+    /// The invocation-wide campaign configuration every experiment
+    /// campaign is cloned from. Its threshold and journal label are
+    /// placeholders that [`CampaignHooks::campaign`] replaces.
+    pub config: CampaignConfig,
+    /// Invocation-wide phase profiler: accumulates every campaign's
+    /// phase rollup and arms the solves experiments run outside a
+    /// campaign.
     pub profile: Option<Arc<PhaseProfiler>>,
-    /// Shared Chrome-trace timeline (`--trace-json`): arms campaign
-    /// profiling and collects every campaign's worker/fault spans.
+    /// Shared Chrome-trace timeline (`--trace-json`): collects every
+    /// campaign's worker/fault spans.
     pub trace: Option<Arc<Mutex<CampaignTrace>>>,
-    /// Linear-solver backend (`--backend`). Both backends produce
-    /// bit-identical solutions, so this only changes speed.
-    pub backend: Backend,
-    /// Live-telemetry directory (`--telemetry`): every campaign of the
-    /// invocation arms heartbeat/status sidecars there, sequentially —
-    /// `status.json` always shows the campaign currently running.
-    pub telemetry: Option<PathBuf>,
-    /// Deterministic solver arithmetic fault-injection plan
-    /// (`--numeric-chaos`), armed on every campaign of the invocation.
-    /// Unlike `--chaos` (journal I/O faults) this needs no journal: it
-    /// injects into the linear-solver tiers of each fault extraction.
-    pub numeric_chaos: Option<NumericChaosPlan>,
 }
 
 impl CampaignHooks {
-    /// Hooks that change nothing — the non-journaled default.
-    pub fn none() -> Self {
-        CampaignHooks::default()
-    }
-
-    /// Hooks journaling to `path`, replaying existing records when
-    /// `resume` is set.
-    pub fn journaled(path: impl Into<PathBuf>, resume: bool) -> Self {
+    /// Inert hooks running campaigns on `workers` threads.
+    pub fn new(workers: usize) -> Self {
         CampaignHooks {
-            journal: Some(JournalSpec {
-                path: path.into(),
-                resume,
-            }),
-            ..CampaignHooks::default()
+            config: CampaignConfig::new(0.0).workers(workers),
+            profile: None,
+            trace: None,
         }
     }
 
-    /// Adds a cancellation token (builder style).
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = Some(cancel);
-        self
-    }
-
-    /// Adds a journal fault-injection plan (builder style, `--chaos`).
-    pub fn with_chaos(mut self, plan: FaultPlan) -> Self {
-        self.chaos = Some(plan);
-        self
-    }
-
-    /// Sets the persistent-journal-failure policy (builder style,
-    /// `--degrade`).
-    pub fn with_degrade(mut self, degrade: DegradePolicy) -> Self {
-        self.degrade = degrade;
-        self
-    }
-
-    /// Attaches the invocation-wide phase profiler (builder style).
-    /// Campaigns run by these hooks arm per-fault phase accounting.
-    pub fn with_profile(mut self, profile: Arc<PhaseProfiler>) -> Self {
-        self.profile = Some(profile);
-        self
-    }
-
-    /// Attaches the shared Chrome-trace timeline (builder style,
-    /// `--trace-json`). Campaigns run by these hooks arm per-fault
-    /// phase accounting so fault spans carry phase sub-spans.
-    pub fn with_trace(mut self, trace: Arc<Mutex<CampaignTrace>>) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-
-    /// Selects the linear-solver backend (builder style, `--backend`).
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Arms live telemetry into `dir` (builder style, `--telemetry`).
-    pub fn with_telemetry(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.telemetry = Some(dir.into());
-        self
-    }
-
-    /// Adds a solver numeric-chaos plan (builder style,
-    /// `--numeric-chaos`).
-    pub fn with_numeric_chaos(mut self, plan: NumericChaosPlan) -> Self {
-        self.numeric_chaos = Some(plan);
-        self
-    }
-
-    /// True when campaigns should arm per-fault phase accounting.
-    pub fn profiling(&self) -> bool {
-        self.profile.is_some() || self.trace.is_some()
+    /// One campaign's config: a clone of [`CampaignHooks::config`] with
+    /// the detection `threshold`, journaling under `label` when a
+    /// journal is configured.
+    pub fn campaign(&self, label: &str, threshold: f64) -> CampaignConfig {
+        let mut config = self.config.clone().threshold(threshold);
+        if let Some(journal) = &mut config.journal {
+            journal.label = label.to_owned();
+        }
+        config
     }
 
     /// Solve settings for simulations an experiment runs *outside* any
@@ -154,41 +73,11 @@ impl CampaignHooks {
     /// the invocation-wide profiler so that solver time is attributed
     /// too instead of silently widening the unattributed gap.
     pub fn solve_settings(&self) -> SolveSettings {
-        let mut settings = SolveSettings::default().backend(self.backend);
+        let mut settings = SolveSettings::default().backend(self.config.backend);
         if let Some(profile) = &self.profile {
             settings = settings.profile(Arc::clone(profile));
         }
         settings
-    }
-
-    /// Applies the hooks to one campaign's config: the journal under
-    /// the campaign's `label` (with any chaos plan and degrade policy),
-    /// the shared cancellation token, and phase-profiler arming.
-    pub fn apply(&self, mut config: CampaignConfig, label: &str) -> CampaignConfig {
-        if let Some(spec) = &self.journal {
-            let mut jc = if spec.resume {
-                JournalConfig::resume(&spec.path, label)
-            } else {
-                JournalConfig::fresh(&spec.path, label)
-            };
-            if let Some(plan) = &self.chaos {
-                jc = jc.chaos(plan.clone());
-            }
-            config = config.journal(jc).degrade(self.degrade);
-        }
-        if let Some(cancel) = &self.cancel {
-            config = config.cancel(cancel.clone());
-        }
-        if self.profiling() {
-            config = config.profile(true);
-        }
-        if let Some(dir) = &self.telemetry {
-            config = config.telemetry(TelemetryConfig::new(dir.clone()));
-        }
-        if let Some(plan) = &self.numeric_chaos {
-            config = config.numeric_chaos(plan.clone());
-        }
-        config.backend(self.backend)
     }
 
     /// Folds one completed campaign into the cost-attribution side:
@@ -210,86 +99,67 @@ impl CampaignHooks {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anasim::robust::CancelToken;
+    use anasim::solver::Backend;
+    use faultsim::campaign::{DegradePolicy, JournalConfig};
+    use faultsim::telemetry::TelemetryConfig;
+    use obs::chaos::{FaultPlan, NumericChaosPlan};
+    use std::path::PathBuf;
 
     #[test]
-    fn inert_hooks_leave_the_config_unchanged() {
-        let hooks = CampaignHooks::none();
-        let config = hooks.apply(CampaignConfig::new(0.5), "e6.c1.correlation");
-        assert!(config.journal.is_none());
-        assert!(config.cancel.is_none());
-    }
+    fn campaigns_inherit_the_armed_config_under_their_own_label() {
+        let inert = CampaignHooks::new(3).campaign("e6.c1.correlation", 0.5);
+        assert!(inert.journal.is_none() && inert.cancel.is_none() && !inert.profile);
+        assert_eq!(inert.workers, 3);
 
-    #[test]
-    fn journaled_hooks_label_each_campaign() {
-        let hooks = CampaignHooks::journaled("/tmp/j.jsonl", true).with_cancel(CancelToken::new());
-        let config = hooks.apply(CampaignConfig::new(0.5), "e6.c2.idd");
+        let mut hooks = CampaignHooks::new(2);
+        hooks.config = hooks
+            .config
+            .journal(
+                JournalConfig::resume("/tmp/j.jsonl", "")
+                    .chaos(FaultPlan::parse("write@4..7").unwrap()),
+            )
+            .degrade(DegradePolicy::Continue)
+            .cancel(CancelToken::new())
+            .telemetry(TelemetryConfig::new("/tmp/tele"))
+            .numeric_chaos(NumericChaosPlan::parse("pivot@0,nan@2").unwrap())
+            .backend(Backend::Dense)
+            .profile(true);
+        let config = hooks.campaign("e6.c2.idd", 0.25);
+        assert_eq!(config.threshold, 0.25);
+        assert_eq!(config.workers, 2);
         let jc = config.journal.expect("journal configured");
         assert_eq!(jc.label, "e6.c2.idd");
         assert!(jc.resume);
-        assert!(jc.chaos.is_none());
-        assert!(config.cancel.is_some());
-        assert_eq!(config.degrade, DegradePolicy::Abort);
-    }
-
-    #[test]
-    fn profiling_hooks_arm_every_campaign() {
-        let hooks = CampaignHooks::none();
-        assert!(!hooks.profiling());
-        assert!(!hooks.apply(CampaignConfig::new(0.5), "e6.c1.correlation").profile);
-
-        let profiler = Arc::new(PhaseProfiler::new());
-        let trace = Arc::new(Mutex::new(CampaignTrace::new()));
-        let hooks = CampaignHooks::none()
-            .with_profile(Arc::clone(&profiler))
-            .with_trace(Arc::clone(&trace));
-        assert!(hooks.profiling());
-        assert!(hooks.apply(CampaignConfig::new(0.5), "e6.c1.correlation").profile);
-    }
-
-    #[test]
-    fn backend_reaches_campaigns_and_standalone_solves() {
-        let hooks = CampaignHooks::none();
-        assert_eq!(
-            hooks.apply(CampaignConfig::new(0.5), "e6.c1.correlation").backend,
-            Backend::Sparse
-        );
-        let hooks = hooks.with_backend(Backend::Dense);
-        assert_eq!(
-            hooks.apply(CampaignConfig::new(0.5), "e6.c1.correlation").backend,
-            Backend::Dense
-        );
-        assert_eq!(hooks.solve_settings().backend, Backend::Dense);
-    }
-
-    #[test]
-    fn telemetry_hooks_arm_every_campaign() {
-        let config = CampaignHooks::none().apply(CampaignConfig::new(0.5), "e6.c1.correlation");
-        assert!(config.telemetry.is_none());
-        let hooks = CampaignHooks::none().with_telemetry("/tmp/tele");
-        let config = hooks.apply(CampaignConfig::new(0.5), "e6.c1.correlation");
-        let tc = config.telemetry.expect("telemetry configured");
-        assert_eq!(tc.dir, PathBuf::from("/tmp/tele"));
-    }
-
-    #[test]
-    fn numeric_chaos_reaches_every_campaign_without_a_journal() {
-        let config = CampaignHooks::none().apply(CampaignConfig::new(0.5), "e6.c1.correlation");
-        assert!(config.numeric_chaos.is_none());
-        let plan = NumericChaosPlan::parse("pivot@0,nan@2").unwrap();
-        let hooks = CampaignHooks::none().with_numeric_chaos(plan.clone());
-        let config = hooks.apply(CampaignConfig::new(0.5), "e6.c1.correlation");
-        assert_eq!(config.numeric_chaos, Some(plan));
-        assert!(config.journal.is_none(), "numeric chaos must not require a journal");
-    }
-
-    #[test]
-    fn chaos_and_degrade_reach_every_campaign_journal() {
-        let hooks = CampaignHooks::journaled("/tmp/j.jsonl", false)
-            .with_chaos(FaultPlan::parse("write@4..7").unwrap())
-            .with_degrade(DegradePolicy::Continue);
-        let config = hooks.apply(CampaignConfig::new(0.5), "e6.c1.correlation");
-        let jc = config.journal.expect("journal configured");
         assert_eq!(jc.chaos, Some(FaultPlan::parse("write@4..7").unwrap()));
         assert_eq!(config.degrade, DegradePolicy::Continue);
+        assert!(config.cancel.is_some());
+        assert_eq!(
+            config.telemetry.expect("telemetry configured").dir,
+            PathBuf::from("/tmp/tele")
+        );
+        assert_eq!(
+            config.numeric_chaos,
+            NumericChaosPlan::parse("pivot@0,nan@2").ok()
+        );
+        assert_eq!(config.backend, Backend::Dense);
+        assert!(config.profile);
+        // The armed config itself keeps its placeholder label.
+        assert_eq!(hooks.config.journal.unwrap().label, "");
+    }
+
+    #[test]
+    fn solve_settings_carry_the_backend_and_the_profiler() {
+        let settings = CampaignHooks::new(1).solve_settings();
+        assert_eq!(settings.backend, Backend::Sparse);
+        assert!(settings.profile.is_none());
+
+        let profiler = Arc::new(PhaseProfiler::new());
+        let mut hooks = CampaignHooks::new(1);
+        hooks.config = hooks.config.backend(Backend::Dense);
+        hooks.profile = Some(Arc::clone(&profiler));
+        let settings = hooks.solve_settings();
+        assert_eq!(settings.backend, Backend::Dense);
+        assert!(Arc::ptr_eq(settings.profile.as_ref().unwrap(), &profiler));
     }
 }

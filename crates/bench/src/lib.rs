@@ -18,11 +18,13 @@
 //! report; the Criterion benches under `benches/` time reduced versions
 //! of the same code paths.
 //!
-//! Campaign-backed experiments (`e6`, `e6c1`, `diverge`) accept
-//! [`hooks::CampaignHooks`]: the `--journal`/`--resume` checkpoint file
-//! and the SIGINT cancellation token the `experiments` binary threads
-//! through, so long runs are kill-safe and resumable. The same hooks
-//! carry `--telemetry DIR`, arming live heartbeat/status sidecars that
+//! Campaign-backed experiments (`e6`, `e6c1`, `ablation`, `diverge`)
+//! take [`hooks::CampaignHooks`]: one `CampaignConfig` the `experiments`
+//! binary arms once (the `--journal`/`--resume` checkpoint file, the
+//! SIGINT cancellation token, `--telemetry DIR`, `--backend`, ...) and
+//! every campaign clones under its own label, plus the profiler and
+//! trace that outlive the campaigns. Journaled runs are kill-safe and
+//! resumable; telemetry arms live heartbeat/status sidecars that
 //! the [`watch`] module (the `experiments watch` console) tails; the
 //! [`bench_diff`] module is the `bench-diff` perf-regression gate over
 //! `--bench-json` sidecars.

@@ -108,7 +108,8 @@ use std::time::Instant;
 use anasim::robust::CancelToken;
 use anasim::solver::Backend;
 use anasim::AnalysisError;
-use faultsim::campaign::DegradePolicy;
+use faultsim::campaign::{CampaignConfig, DegradePolicy, JournalConfig};
+use faultsim::telemetry::TelemetryConfig;
 use faultsim::trace::CampaignTrace;
 use msbist_bench::hooks::CampaignHooks;
 use msbist_bench::solver_bench::{self, BenchEntry};
@@ -180,7 +181,7 @@ fn main() -> ExitCode {
     let mut resume: Option<String> = None;
     let mut chaos: Option<obs::FaultPlan> = None;
     let mut numeric_chaos: Option<obs::NumericChaosPlan> = None;
-    let mut degrade = DegradePolicy::Abort;
+    let mut degrade: Option<DegradePolicy> = None;
     let mut telemetry: Option<String> = None;
     let mut workers = experiments::e6::E6_WORKERS;
     let mut backend = Backend::default();
@@ -231,8 +232,8 @@ fn main() -> ExitCode {
                 }
             },
             "--degrade" => match it.next().map(String::as_str) {
-                Some("abort") => degrade = DegradePolicy::Abort,
-                Some("continue") => degrade = DegradePolicy::Continue,
+                Some("abort") => degrade = Some(DegradePolicy::Abort),
+                Some("continue") => degrade = Some(DegradePolicy::Continue),
                 _ => return usage_error("--degrade needs 'abort' or 'continue'"),
             },
             "--telemetry" => match it.next() {
@@ -258,66 +259,65 @@ fn main() -> ExitCode {
     if chaos.is_some() && journal.is_none() && resume.is_none() {
         return usage_error("--chaos injects journal faults and needs --journal or --resume");
     }
+    if degrade.is_some() && journal.is_none() && resume.is_none() {
+        return usage_error(
+            "--degrade sets the journal-failure policy and needs --journal or --resume",
+        );
+    }
 
+    // One campaign config, armed once here; every experiment campaign
+    // is a clone of it with its own threshold and journal label.
+    let mut config = CampaignConfig::new(0.0)
+        .workers(workers)
+        .degrade(degrade.unwrap_or_default())
+        .backend(backend);
     // --journal starts a fresh checkpoint stream (the engine itself
     // only ever appends, so the CLI truncates here, once); --resume
     // keeps the file and replays it. Both arm SIGINT cancellation.
-    let hooks = match (&journal, &resume) {
+    let journal_config = match (&journal, &resume) {
         (Some(path), None) => {
             if let Err(err) = fs::write(path, "") {
                 eprintln!("cannot start journal at {path}: {err}");
                 return ExitCode::FAILURE;
             }
-            CampaignHooks::journaled(path, false).with_cancel(install_sigint_cancel())
+            Some(JournalConfig::fresh(path, ""))
         }
-        (None, Some(path)) => {
-            CampaignHooks::journaled(path, true).with_cancel(install_sigint_cancel())
+        (None, Some(path)) => Some(JournalConfig::resume(path, "")),
+        _ => None,
+    };
+    if let Some(mut jc) = journal_config {
+        if let Some(plan) = chaos {
+            jc = jc.chaos(plan);
         }
-        _ => CampaignHooks::none(),
-    };
-    let hooks = match chaos {
-        Some(plan) => hooks.with_chaos(plan).with_degrade(degrade),
-        None => hooks.with_degrade(degrade),
-    };
+        config = config.journal(jc).cancel(install_sigint_cancel());
+    }
+    if let Some(dir) = telemetry {
+        config = config.telemetry(TelemetryConfig::new(dir));
+    }
     // Unlike --chaos (journal I/O faults), --numeric-chaos targets the
     // solver itself and needs no journal to inject into.
-    let hooks = match numeric_chaos {
-        Some(plan) => hooks.with_numeric_chaos(plan),
-        None => hooks,
-    };
-    let hooks = hooks.with_backend(backend);
-    let hooks = match telemetry {
-        Some(dir) => hooks.with_telemetry(dir),
-        None => hooks,
-    };
+    if let Some(plan) = numeric_chaos {
+        config = config.numeric_chaos(plan);
+    }
 
     // Phase profiling arms for the `profile` subcommand, for a trace,
     // and for the bench sidecar (whose v2 schema carries the phase
     // breakdown). Plain runs stay disarmed: no clock reads on the hot
     // path, and canonical output proven byte-identical either way.
-    let profiler = (profile_mode || trace_json.is_some() || bench_json.is_some())
+    let profile = (profile_mode || trace_json.is_some() || bench_json.is_some())
         .then(|| Arc::new(PhaseProfiler::new()));
     let trace = trace_json
         .as_ref()
         .map(|_| Arc::new(Mutex::new(CampaignTrace::new())));
-    let mut hooks = hooks;
-    if let Some(profiler) = &profiler {
-        hooks = hooks.with_profile(Arc::clone(profiler));
-    }
-    if let Some(trace) = &trace {
-        hooks = hooks.with_trace(Arc::clone(trace));
-    }
+    let hooks = CampaignHooks {
+        config: config.profile(profile.is_some() || trace.is_some()),
+        profile,
+        trace,
+    };
 
     let mut report = RunReport::new();
     let mut bench_entries: Vec<BenchEntry> = Vec::new();
-    let ran = match run_experiments(
-        &which,
-        workers,
-        &hooks,
-        profiler.as_ref(),
-        &mut report,
-        &mut bench_entries,
-    ) {
+    let ran = match run_experiments(&which, &hooks, &mut report, &mut bench_entries) {
         Ok(ran) => ran,
         Err(AnalysisError::Cancelled) => {
             let path = journal.or(resume).unwrap_or_default();
@@ -339,14 +339,15 @@ fn main() -> ExitCode {
     }
 
     if profile_mode {
-        let snapshot = profiler
+        let snapshot = hooks
+            .profile
             .as_ref()
             .map(|p| p.snapshot())
             .unwrap_or_default();
         println!("{}", render_profile_table(&snapshot, &bench_entries));
     }
     if let Some(path) = trace_json {
-        let trace = trace.expect("trace allocated with --trace-json");
+        let trace = hooks.trace.as_ref().expect("trace allocated with --trace-json");
         let trace = trace.lock().expect("campaign trace lock");
         if trace.is_empty() {
             eprintln!(
@@ -388,13 +389,6 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Runs every experiment selected by `which`, filling `report` and
-/// `bench_entries`. Returns whether any experiment matched.
-/// Campaign-backed experiments receive the crash-safety `hooks`; the
-/// rest ignore them (they have no campaign to checkpoint). When
-/// `profiler` is armed, each experiment's slice of the shared phase
-/// accounting (a snapshot delta around its run) lands in its bench
-/// entry.
 /// Sums every counter of `section` whose name starts with `prefix`.
 /// The hazard/demotion counters are published per category
 /// (`solver.hazard.*`, `solver.demote.*`); the bench sidecar tracks the
@@ -408,27 +402,35 @@ fn prefix_sum(section: &Section, prefix: &str) -> u64 {
         .sum()
 }
 
+/// Runs every experiment selected by `which`, filling `report` and
+/// `bench_entries`. Returns whether any experiment matched.
+/// Campaign-backed experiments run their campaigns from `hooks`; the
+/// rest run serially and only use its profiler. When the profiler is
+/// armed, each experiment's slice of the shared phase accounting (a
+/// snapshot delta around its run) lands in its bench entry.
 fn run_experiments(
     which: &str,
-    workers: usize,
     hooks: &CampaignHooks,
-    profiler: Option<&Arc<PhaseProfiler>>,
     report: &mut RunReport,
     bench_entries: &mut Vec<BenchEntry>,
 ) -> Result<bool, AnalysisError> {
+    let profiler = hooks.profile.as_ref();
     let mut ran = false;
     // Each experiment prints its human report, contributes one section
     // (timed under `bench.<experiment>`) to the run report, and one
     // cost line to the solver-bench sidecar. An experiment that never
     // publishes `solver.*` counters runs no solver at all
-    // (`linear_only`): its zero Newton count is by construction.
+    // (`linear_only`): its zero Newton count is by construction. Each
+    // entry records the worker count the experiment ran with: the
+    // campaign workers for campaign-backed ones, 1 for the serial rest.
     let mut run_one = |name: &str,
-                       run: &dyn Fn(usize) -> Result<(String, Section), AnalysisError>|
+                       workers: usize,
+                       run: &dyn Fn() -> Result<(String, Section), AnalysisError>|
      -> Result<(), AnalysisError> {
         ran = true;
         let before = profiler.map(|p| p.snapshot()).unwrap_or_default();
         let started = Instant::now();
-        let (text, mut section) = run(workers)?;
+        let (text, mut section) = run()?;
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         let phases = profiler
             .map(|p| p.snapshot().saturating_sub(&before))
@@ -468,70 +470,71 @@ fn run_experiments(
         Ok(())
     };
     let want = |tag: &str| which == tag || which == "all";
+    let workers = hooks.config.workers;
 
     if want("e1") {
-        run_one("e1", &|_| {
-            let r = experiments::e1::run_instrumented(4e-6, profiler.cloned());
+        run_one("e1", 1, &|| {
+            let r = experiments::e1::run(4e-6, profiler.cloned());
             Ok((r.to_string(), r.to_section()))
         })?;
     }
     if want("e2") {
-        run_one("e2", &|_| {
+        run_one("e2", 1, &|| {
             let r = experiments::e2::run(0.05);
             Ok((r.to_string(), r.to_section()))
         })?;
     }
     if want("e3") {
-        run_one("e3", &|_| {
+        run_one("e3", 1, &|| {
             let r = experiments::e3::run();
             Ok((r.to_string(), r.to_section()))
         })?;
     }
     if want("e4") {
-        run_one("e4", &|_| {
+        run_one("e4", 1, &|| {
             let r = experiments::e4::run(10, 1996);
             Ok((r.to_string(), r.to_section()))
         })?;
     }
     if want("e5") {
-        run_one("e5", &|_| {
+        run_one("e5", 1, &|| {
             let r = experiments::e5::run(100);
             Ok((r.to_string(), r.to_section()))
         })?;
     }
     if want("e6") {
-        run_one("e6", &|w| {
-            let r = experiments::e6::run_with_hooks(w, hooks)?;
+        run_one("e6", workers, &|| {
+            let r = experiments::e6::run(hooks)?;
             Ok((r.to_string(), r.to_section()))
         })?;
     }
     if which == "e6c1" {
-        run_one("e6c1", &|w| {
-            let r = experiments::e6::run_circuit1_only_with_hooks(w, hooks)?;
+        run_one("e6c1", workers, &|| {
+            let r = experiments::e6::run_circuit1_only(hooks)?;
             Ok((r.to_string(), r.to_section()))
         })?;
     }
     if want("e7") {
-        run_one("e7", &|_| {
+        run_one("e7", 1, &|| {
             let r = experiments::e7::run(0.1);
             Ok((r.to_string(), r.to_section()))
         })?;
     }
     if want("e8") {
-        run_one("e8", &|_| {
+        run_one("e8", 1, &|| {
             let r = experiments::e8::run(50, 1996);
             Ok((r.to_string(), r.to_section()))
         })?;
     }
     if want("ablation") {
-        run_one("ablation", &|w| {
-            let r = experiments::ablation::run_with_hooks(w, hooks);
+        run_one("ablation", workers, &|| {
+            let r = experiments::ablation::run(hooks);
             Ok((r.to_string(), r.to_section()))
         })?;
     }
     if which == "diverge" {
-        run_one("diverge", &|w| {
-            let r = experiments::diverge::run_with_hooks(w, hooks)?;
+        run_one("diverge", workers, &|| {
+            let r = experiments::diverge::run(hooks)?;
             Ok((r.to_string(), r.to_section()))
         })?;
     }
@@ -1058,5 +1061,17 @@ mod tests {
             table.contains("e6: 150.000 of 100.000 ms × 2 worker(s) attributed (75.0 %)"),
             "{table}"
         );
+    }
+
+    #[test]
+    fn serial_experiments_record_one_worker() {
+        // e1 runs on one thread whatever `--workers` says; its bench
+        // entry must not inherit the campaign worker count.
+        let mut report = RunReport::new();
+        let mut entries = Vec::new();
+        let ran = run_experiments("e1", &CampaignHooks::new(2), &mut report, &mut entries);
+        assert!(ran.unwrap());
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].workers, 1);
     }
 }

@@ -28,7 +28,6 @@
 //! *detected* (the paper's hard-fault convention: a chip whose faulty
 //! circuit cannot reach a stable state fails test trivially).
 
-use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -370,7 +369,7 @@ pub struct JournalDegradation {
 }
 
 /// Configuration for [`run_campaign_with`].
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Per-instance deviation threshold for the detection metric.
     pub threshold: f64,
@@ -391,11 +390,6 @@ pub struct CampaignConfig {
     /// fault that fails terminally freezes it into
     /// [`FaultTelemetry::postmortem`].
     pub flight: Option<usize>,
-    /// Observability sink. Telemetry is accumulated per fault on worker
-    /// threads and emitted here in universe order after collection, so
-    /// what the recorder sees is deterministic for any worker count
-    /// (aside from the wall-clock span durations themselves).
-    pub recorder: Option<Arc<dyn Recorder>>,
     /// Checkpoint journal: every completed fault is appended (fsync'd)
     /// to this JSONL file, and with [`JournalConfig::resume`] set,
     /// previously journaled faults are replayed instead of
@@ -449,27 +443,6 @@ pub struct CampaignConfig {
     pub numeric_chaos: Option<obs::NumericChaosPlan>,
 }
 
-impl fmt::Debug for CampaignConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CampaignConfig")
-            .field("threshold", &self.threshold)
-            .field("min_detect_pct", &self.min_detect_pct)
-            .field("workers", &self.workers)
-            .field("ladder", &self.ladder)
-            .field("budget", &self.budget)
-            .field("flight", &self.flight)
-            .field("has_recorder", &self.recorder.is_some())
-            .field("journal", &self.journal)
-            .field("has_cancel", &self.cancel.is_some())
-            .field("degrade", &self.degrade)
-            .field("profile", &self.profile)
-            .field("backend", &self.backend)
-            .field("telemetry", &self.telemetry)
-            .field("numeric_chaos", &self.numeric_chaos)
-            .finish()
-    }
-}
-
 impl CampaignConfig {
     /// A configuration with the given detection threshold, the default
     /// escalation ladder, a generous step budget, one worker and the
@@ -482,7 +455,6 @@ impl CampaignConfig {
             ladder: escalation_ladder(),
             budget: SolveBudget::unlimited().steps(5_000_000),
             flight: None,
-            recorder: None,
             journal: None,
             cancel: None,
             degrade: DegradePolicy::default(),
@@ -532,14 +504,6 @@ impl CampaignConfig {
     /// [`Postmortem`] in their telemetry.
     pub fn flight(mut self, capacity: usize) -> Self {
         self.flight = Some(capacity);
-        self
-    }
-
-    /// Installs an observability sink receiving `campaign.golden` /
-    /// `campaign.fault` spans and solver counters after the campaign
-    /// completes.
-    pub fn recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
-        self.recorder = Some(recorder);
         self
     }
 
@@ -639,6 +603,31 @@ impl CampaignReport {
             .iter()
             .filter(|o| !matches!(o.status, FaultStatus::Undetected { .. }))
             .count()
+    }
+
+    /// Publishes the completed campaign to a recorder: golden and
+    /// per-fault spans, summed solver counters, and one
+    /// `campaign.rung.<i>` counter per escalation-ladder rung that
+    /// produced a signature. Events follow universe order, so what the
+    /// recorder sees is deterministic for any worker count (aside from
+    /// the wall-clock span durations themselves).
+    pub fn emit_to(&self, recorder: &dyn Recorder) {
+        recorder.span("campaign.golden", self.stats.golden_wall);
+        self.stats.golden_solver.emit_to(recorder);
+        for t in &self.stats.per_fault {
+            recorder.span("campaign.fault", t.wall);
+            t.solver.emit_to(recorder);
+        }
+        recorder.add("campaign.faults", self.outcomes.len() as u64);
+        recorder.add("campaign.detected", self.detected_count() as u64);
+        recorder.add("campaign.panicked", self.stats.panicked as u64);
+        recorder.add("campaign.journal.retries", self.stats.journal_retries);
+        if let Some(d) = &self.degradation {
+            recorder.add("campaign.journal.degraded", d.unjournaled as u64);
+        }
+        for (i, count) in self.stats.rung_histogram().iter().enumerate() {
+            recorder.add(&format!("campaign.rung.{i}"), *count as u64);
+        }
     }
 
     /// Postmortems frozen during the campaign, paired with the name of
@@ -907,7 +896,7 @@ impl JournalState {
 ///   Newton iteration) and returns [`AnalysisError::Cancelled`];
 /// * with [`CampaignConfig::journal`] configured, every completed fault
 ///   is checkpointed to an fsync'd JSONL journal, so a crash, kill or
-///   cancellation can be resumed ([`run_campaign_resumed`]) without
+///   cancellation can be resumed ([`JournalConfig::resume`]) without
 ///   redoing completed work.
 ///
 /// # Errors
@@ -1519,13 +1508,6 @@ where
         report.stats.journal_retries = writer.retries();
     }
 
-    // Telemetry reaches the recorder only here, after collection, in
-    // universe order — emission order is deterministic no matter how
-    // the workers interleaved.
-    if let Some(recorder) = &config.recorder {
-        emit_campaign(recorder.as_ref(), &report);
-    }
-
     // The terminal snapshot lands after the journal's own terminal
     // records, so a watcher seeing `state: "complete"` can rely on the
     // journal being finished too.
@@ -1534,44 +1516,6 @@ where
     }
 
     Ok(report)
-}
-
-/// [`run_campaign_with`], forced to resume from the configured
-/// checkpoint journal: faults already journaled under
-/// [`JournalConfig::label`] are replayed (skipping their simulation)
-/// and only the remainder is simulated, after which the report is
-/// byte-identical — canonical text and canonical JSON — to the same
-/// campaign run uninterrupted with any worker count.
-///
-/// A journal file that does not exist yet simply means nothing is
-/// replayed; a journal whose metadata (fault universe, threshold,
-/// golden-signature length) disagrees with this campaign is rejected.
-///
-/// # Errors
-///
-/// [`AnalysisError::InvalidParameter`] when `config` has no
-/// [`CampaignConfig::journal`] or the journal belongs to a different
-/// campaign, plus everything [`run_campaign_with`] returns.
-pub fn run_campaign_resumed<F>(
-    golden: &Netlist,
-    faults: &[Fault],
-    config: &CampaignConfig,
-    extract: F,
-) -> Result<CampaignReport, AnalysisError>
-where
-    F: Fn(&Netlist, &SolveSettings) -> Result<Vec<f64>, AnalysisError> + Sync,
-{
-    let Some(journal) = &config.journal else {
-        return Err(AnalysisError::InvalidParameter(
-            "run_campaign_resumed requires CampaignConfig::journal".into(),
-        ));
-    };
-    let mut config = config.clone();
-    config.journal = Some(JournalConfig {
-        resume: true,
-        ..journal.clone()
-    });
-    run_campaign_with(golden, faults, &config, extract)
 }
 
 /// Best-effort string form of a caught panic payload (`&str` and
@@ -1583,28 +1527,6 @@ fn panic_payload(panic: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_owned()
-    }
-}
-
-/// Publishes a completed campaign to a recorder: golden and per-fault
-/// spans, summed solver counters, and one `campaign.rung.<i>` counter
-/// per escalation-ladder rung that produced a signature.
-fn emit_campaign(recorder: &dyn Recorder, report: &CampaignReport) {
-    recorder.span("campaign.golden", report.stats.golden_wall);
-    report.stats.golden_solver.emit_to(recorder);
-    for t in &report.stats.per_fault {
-        recorder.span("campaign.fault", t.wall);
-        t.solver.emit_to(recorder);
-    }
-    recorder.add("campaign.faults", report.outcomes.len() as u64);
-    recorder.add("campaign.detected", report.detected_count() as u64);
-    recorder.add("campaign.panicked", report.stats.panicked as u64);
-    recorder.add("campaign.journal.retries", report.stats.journal_retries);
-    if let Some(d) = &report.degradation {
-        recorder.add("campaign.journal.degraded", d.unjournaled as u64);
-    }
-    for (i, count) in report.stats.rung_histogram().iter().enumerate() {
-        recorder.add(&format!("campaign.rung.{i}"), *count as u64);
     }
 }
 
@@ -2010,11 +1932,10 @@ mod tests {
     #[test]
     fn recorder_sees_campaign_spans_and_counters() {
         let (nl, faults) = rc_fixture();
-        let recorder = Arc::new(obs::AggregatingRecorder::new());
-        let config = CampaignConfig::new(0.05)
-            .workers(2)
-            .recorder(recorder.clone());
+        let recorder = obs::AggregatingRecorder::new();
+        let config = CampaignConfig::new(0.05).workers(2);
         let report = run_campaign_with(&nl, &faults, &config, transient_extract).unwrap();
+        report.emit_to(&recorder);
         let agg = recorder.snapshot();
         assert_eq!(agg.spans["campaign.golden"].count(), 1);
         assert_eq!(agg.spans["campaign.fault"].count(), faults.len());
@@ -2358,8 +2279,8 @@ mod tests {
         // Resume with a counting extractor: only the four faults that
         // never completed are re-simulated.
         let fault_calls = AtomicUsize::new(0);
-        let config = CampaignConfig::new(0.05).journal(JournalConfig::fresh(&path, "rc"));
-        let resumed = run_campaign_resumed(&nl, &faults, &config, |n, settings| {
+        let config = CampaignConfig::new(0.05).journal(JournalConfig::resume(&path, "rc"));
+        let resumed = run_campaign_with(&nl, &faults, &config, |n, settings| {
             if n.devices().any(|(_, name, _)| name.starts_with("fault:")) {
                 fault_calls.fetch_add(1, Ordering::Relaxed);
             }
@@ -2381,7 +2302,7 @@ mod tests {
         let replayed = journal::load(&path).unwrap();
         assert!(replayed.campaign("rc").unwrap().complete);
         let again_calls = AtomicUsize::new(0);
-        let again = run_campaign_resumed(&nl, &faults, &config, |n, settings| {
+        let again = run_campaign_with(&nl, &faults, &config, |n, settings| {
             if n.devices().any(|(_, name, _)| name.starts_with("fault:")) {
                 again_calls.fetch_add(1, Ordering::Relaxed);
             }
@@ -2402,7 +2323,8 @@ mod tests {
         let config = CampaignConfig::new(0.05).journal(JournalConfig::fresh(&path, "rc"));
         run_campaign_with(&nl, &faults[..2], &config, transient_extract).unwrap();
         // Resuming the full universe from it must refuse.
-        let err = run_campaign_resumed(&nl, &faults, &config, transient_extract).unwrap_err();
+        let config = CampaignConfig::new(0.05).journal(JournalConfig::resume(&path, "rc"));
+        let err = run_campaign_with(&nl, &faults, &config, transient_extract).unwrap_err();
         assert!(
             matches!(&err, AnalysisError::InvalidParameter(msg)
                 if msg.contains("different fault universe")),
@@ -2420,19 +2342,6 @@ mod tests {
         assert_eq!(report.outcomes.len(), faults.len());
         assert!(journal::load(&path).unwrap().campaign("rc").unwrap().complete);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn run_campaign_resumed_requires_a_journal() {
-        let (nl, faults) = rc_fixture();
-        let err = run_campaign_resumed(
-            &nl,
-            &faults,
-            &CampaignConfig::new(0.05),
-            transient_extract,
-        )
-        .unwrap_err();
-        assert!(matches!(err, AnalysisError::InvalidParameter(_)));
     }
 
     #[test]

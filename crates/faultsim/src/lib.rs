@@ -15,8 +15,8 @@
 //!   paper's "faulty chip diagnosis at a functional macro level",
 //! * [`journal`] — the `mixsig.campaign-journal/1` checkpoint format:
 //!   campaigns journal every completed fault to an append-only JSONL
-//!   file and [`campaign::run_campaign_resumed`] replays it, so a
-//!   killed or cancelled campaign resumes instead of restarting,
+//!   file and a [`campaign::JournalConfig::resume`] config replays it,
+//!   so a killed or cancelled campaign resumes instead of restarting,
 //! * [`trace`] — Chrome Trace Event timelines of completed campaigns:
 //!   worker lanes, per-fault spans and (with
 //!   [`campaign::CampaignConfig::profile`] armed) solver phase

@@ -19,7 +19,7 @@ use anasim::source::SourceWaveform;
 use anasim::transient::TransientAnalysis;
 use anasim::{AnalysisError, BudgetKind};
 use faultsim::campaign::{
-    run_campaign_resumed, run_campaign_with, CampaignConfig, CampaignReport, FaultStatus,
+    run_campaign_with, CampaignConfig, CampaignReport, FaultStatus,
     FaultTelemetry, JournalConfig,
 };
 use faultsim::journal::{
@@ -131,7 +131,8 @@ fn hard_killed_journal_resumes_byte_identical() {
     // Resume re-simulates only the torn fault and lands byte-identical
     // to the uninterrupted reference.
     let fault_sims = AtomicUsize::new(0);
-    let resumed = run_campaign_resumed(&nl, &faults, &config, |n, settings| {
+    let config = config.journal(JournalConfig::resume(&path, "rc"));
+    let resumed = run_campaign_with(&nl, &faults, &config, |n, settings| {
         if n.devices().any(|(_, name, _)| name.starts_with("fault:")) {
             fault_sims.fetch_add(1, Ordering::Relaxed);
         }
@@ -164,8 +165,8 @@ fn parallel_resume_of_a_killed_journal_is_byte_identical() {
     // count cannot leak into the report.
     let parallel = CampaignConfig::new(0.05)
         .workers(4)
-        .journal(JournalConfig::fresh(&path, "rc"));
-    let resumed = run_campaign_resumed(&nl, &faults, &parallel, transient_extract).unwrap();
+        .journal(JournalConfig::resume(&path, "rc"));
+    let resumed = run_campaign_with(&nl, &faults, &parallel, transient_extract).unwrap();
     assert_eq!(resumed.canonical_text(), reference.canonical_text());
     assert_eq!(canonical_report(&resumed), canonical_report(&reference));
     let _ = fs::remove_file(&path);
@@ -209,7 +210,8 @@ fn postmortem_bearing_records_replay_exactly() {
 
     // The postmortem rides the replayed record (index 1 is not the torn
     // line), so the resumed report embeds it byte-for-byte.
-    let resumed = run_campaign_resumed(&nl, &faults, &config, failing).unwrap();
+    let config = config.journal(JournalConfig::resume(&path, "rc"));
+    let resumed = run_campaign_with(&nl, &faults, &config, failing).unwrap();
     assert_eq!(resumed.canonical_text(), reference.canonical_text());
     assert_eq!(canonical_report(&resumed), canonical_report(&reference));
     let _ = fs::remove_file(&path);

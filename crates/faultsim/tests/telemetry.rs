@@ -25,7 +25,7 @@ use anasim::robust::{SolveBudget, SolveSettings};
 use anasim::source::SourceWaveform;
 use anasim::transient::TransientAnalysis;
 use anasim::AnalysisError;
-use faultsim::campaign::{run_campaign_resumed, run_campaign_with, CampaignConfig, JournalConfig};
+use faultsim::campaign::{run_campaign_with, CampaignConfig, JournalConfig};
 use faultsim::model::Fault;
 use faultsim::telemetry::TelemetryConfig;
 use obs::chaos::FaultPlan;
@@ -254,7 +254,7 @@ fn resumed_campaigns_seed_the_replayed_rollup() {
     let config = CampaignConfig::new(0.5)
         .journal(JournalConfig::resume(&journal, "rc"))
         .telemetry(TelemetryConfig::new(&dir));
-    let resumed = run_campaign_resumed(&nl, &faults, &config, transient_extract).unwrap();
+    let resumed = run_campaign_with(&nl, &faults, &config, transient_extract).unwrap();
     assert_eq!(resumed.canonical_text(), first.canonical_text());
 
     let last = status::read_status(&dir.join(status::STATUS_FILE))

@@ -5,8 +5,6 @@
 //!
 //! Run with: `cargo run --release --example fault_hunt`
 
-use std::sync::Arc;
-
 use mixsig::anasim::flight::FlightRecorder;
 use mixsig::faultsim::campaign::{CampaignConfig, JournalConfig};
 use mixsig::faultsim::journal;
@@ -36,22 +34,22 @@ fn main() {
     // Campaign on the resilient engine: every fault simulated in
     // parallel under the escalation ladder, scored by detection
     // instances. The report is identical for any worker count, and the
-    // recorder sees the telemetry in universe order.
+    // recorder it is emitted to sees the telemetry in universe order.
     // The flight recorder is armed so any fault that exhausts the whole
     // escalation ladder freezes a postmortem naming the worst node, and
     // a checkpoint journal makes the campaign kill-safe: every completed
     // fault is fsync'd to an append-only JSONL file as it finishes.
     let journal_path = std::env::temp_dir().join("fault_hunt.journal.jsonl");
-    let recorder = Arc::new(AggregatingRecorder::new());
     let config = CampaignConfig::new(0.02 * peak)
         .workers(4)
         .flight(FlightRecorder::DEFAULT_CAPACITY)
-        .journal(JournalConfig::fresh(&journal_path, "fault-hunt"))
-        .recorder(recorder.clone());
+        .journal(JournalConfig::fresh(&journal_path, "fault-hunt"));
     let report = circuit
         .bench
         .run_correlation_campaign_with(&circuit.faults, &config)
         .expect("campaign runs");
+    let recorder = AggregatingRecorder::new();
+    report.emit_to(&recorder);
 
     let mut ranked: Vec<(String, f64, &'static str)> = report
         .outcomes

@@ -47,6 +47,20 @@ fn quick_tests_are_coarser_than_full_characterisation() {
     let spec = AdcSpecification::paper().check(&c);
     assert!(!spec.passed(), "full characterisation must catch INL/DNL");
     assert!(spec.failures().contains(&"INL") || spec.failures().contains(&"DNL"));
+
+    // The E5 figures (`experiments e5` runs this very characterisation),
+    // pinned to ±0.01 LSB.
+    for (what, got, want) in [
+        ("max INL", c.max_inl_lsb(), 1.3507),
+        ("max DNL", c.max_dnl_lsb(), 1.2500),
+        ("offset", c.offset_lsb, -0.1250),
+        ("gain error", c.gain_error_lsb, 0.0313),
+    ] {
+        assert!(
+            (got - want).abs() <= 0.01,
+            "E5 {what}: {got:.4} LSB, pinned {want:.4} ± 0.01 LSB"
+        );
+    }
 }
 
 #[test]
