@@ -8,9 +8,9 @@
 
 use linsys::cmatrix::{solve as csolve, CMatrix};
 use linsys::complex::Complex;
+use linsys::matrix::Matrix;
 
 use crate::dc::dc_operating_point;
-use crate::dense::Matrix;
 use crate::devices::Device;
 use crate::mna::{stamp_system, CompanionMode, MnaLayout, StampParams};
 use crate::netlist::{DeviceId, Netlist, NodeId};

@@ -39,7 +39,6 @@
 
 pub mod ac;
 pub mod dc;
-pub mod dense;
 pub mod devices;
 pub mod flight;
 pub mod metrics;

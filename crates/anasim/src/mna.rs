@@ -3,15 +3,12 @@
 
 use std::sync::Arc;
 
-use crate::dense::Matrix;
 use crate::devices::{Device, MosPolarity};
 use crate::netlist::{DeviceId, Netlist, NodeId};
 use crate::robust::{BudgetClock, SolveSettings};
-use crate::solver::{
-    FactorKey, LinearFactor, MnaMatrix, PositionProbe, SolverContext, SystemMatrix,
-};
+use crate::solver::{solve_into, FactorKey, MnaMatrix, PositionProbe, SolverContext};
 use crate::AnalysisError;
-use linsys::sparse::{SparseMatrix, SparseStructure};
+use linsys::sparse::{SparseLu, SparseMatrix, SparseStructure};
 use linsys::{refine_once, NumericalHazard, SingularMatrixError};
 use obs::profile::{LapTimer, Phase};
 use obs::NumericSite;
@@ -698,8 +695,8 @@ fn factor_key(params: &StampParams<'_>) -> FactorKey {
 }
 
 /// Prepares the context's assembled-system workspace for this solve:
-/// sizes the scratch vectors, and (for the sparse backend) builds the
-/// per-mode symbolic structure with a one-time stamping probe.
+/// sizes the scratch vectors, and builds the per-mode symbolic
+/// structure with a one-time stamping probe.
 fn ensure_system(
     ctx: &mut SolverContext,
     netlist: &Netlist,
@@ -729,36 +726,30 @@ fn ensure_system(
     if matches!(&ctx.sys, Some((m, sys)) if *m == mode && sys.n() == n) {
         return;
     }
-    let sys = match ctx.backend {
-        crate::solver::Backend::Dense => SystemMatrix::Dense(Matrix::zeros(n, n)),
-        // Even at macro scale (tens of unknowns) the sparse kernel wins
-        // on the campaign hot path: factor-from-scratch favours dense
-        // below ~64 unknowns, but the reuse tiers make back-substitution
-        // (O(nnz), not O(n²)) and baseline restore (nnz values, not n²)
-        // the dominant per-iteration costs, and those stay sparse-cheap
-        // at every size.
-        crate::solver::Backend::Sparse => {
-            if ctx.structures[mode].is_none() {
-                let mut probe = PositionProbe::new();
-                let mut scratch_b = vec![0.0; n];
-                stamp_linear(netlist, layout, params, &mut probe, &mut scratch_b);
-                if netlist.has_nonlinear_devices() {
-                    stamp_nonlinear(netlist, layout, x, &mut probe, &mut scratch_b);
-                }
-                // The nonlinear position set is iterate-independent
-                // (MOSFET hi/lo frame swaps reorder adds inside a fixed
-                // symmetric position set), and covering the diagonal
-                // keeps gmin sweeps on the same structure.
-                probe.cover_diagonal(n);
-                ctx.structures[mode] = Some(SparseStructure::from_positions(n, probe.positions()));
-                if let Some(lap) = lap {
-                    lap.lap(Phase::Symbolic);
-                }
-            }
-            let structure = ctx.structures[mode].as_ref().expect("structure just built");
-            SystemMatrix::Sparse(SparseMatrix::zeros(Arc::clone(structure)))
+    // Even at macro scale (tens of unknowns) the sparse kernel wins on
+    // the campaign hot path: factor-from-scratch favours dense below
+    // ~64 unknowns, but the reuse tiers make back-substitution (O(nnz),
+    // not O(n²)) and baseline restore (nnz values, not n²) the dominant
+    // per-iteration costs, and those stay sparse-cheap at every size.
+    if ctx.structures[mode].is_none() {
+        let mut probe = PositionProbe::new();
+        let mut scratch_b = vec![0.0; n];
+        stamp_linear(netlist, layout, params, &mut probe, &mut scratch_b);
+        if netlist.has_nonlinear_devices() {
+            stamp_nonlinear(netlist, layout, x, &mut probe, &mut scratch_b);
         }
-    };
+        // The nonlinear position set is iterate-independent (MOSFET
+        // hi/lo frame swaps reorder adds inside a fixed symmetric
+        // position set), and covering the diagonal keeps gmin sweeps on
+        // the same structure.
+        probe.cover_diagonal(n);
+        ctx.structures[mode] = Some(SparseStructure::from_positions(n, probe.positions()));
+        if let Some(lap) = lap {
+            lap.lap(Phase::Symbolic);
+        }
+    }
+    let structure = ctx.structures[mode].as_ref().expect("structure just built");
+    let sys = SparseMatrix::zeros(Arc::clone(structure));
     ctx.sys = Some((mode, sys));
 }
 
@@ -786,9 +777,9 @@ fn ensure_system(
 /// second returns the typed error. Otherwise the damped update
 /// ([`damped_update`]) moves the iterate and tests convergence.
 ///
-/// The stale policy is deterministic and depends only on quantities
-/// that are bit-identical across backends (`worst` update magnitudes),
-/// so dense and sparse runs take identical iteration trajectories.
+/// The stale policy is deterministic: it depends only on the `worst`
+/// update magnitudes, so repeated runs take identical iteration
+/// trajectories.
 #[allow(clippy::too_many_arguments)]
 fn newton_iterate(
     netlist: &Netlist,
@@ -953,7 +944,7 @@ fn exact_solve(
     lap: Option<&mut LapTimer>,
 ) -> bool {
     let (key, factor) = ctx.factor.take().expect("cached factor present");
-    factor.solve_into(&ctx.b, &mut ctx.x_new);
+    solve_into(&factor, &ctx.b, &mut ctx.x_new);
     if let Some(l) = lap {
         l.lap(Phase::BackSubstitute);
     }
@@ -991,7 +982,7 @@ fn stale_trial(
     let (_, factor) = ctx.factor.as_ref().expect("cached factor present");
     let (_, sys) = ctx.sys.as_ref().expect("system prepared");
     sys.residual_into(x, &ctx.b, &mut ctx.resid);
-    factor.solve_into(&ctx.resid, &mut ctx.scratch);
+    solve_into(factor, &ctx.resid, &mut ctx.scratch);
     for (slot, (xk, d)) in ctx.x_new.iter_mut().zip(x.iter().zip(&ctx.scratch)) {
         *slot = xk - d;
     }
@@ -1049,7 +1040,7 @@ fn refactor_solve(
     }
     let chaos = settings.numeric_chaos.as_deref();
     let same_key = matches!(&ctx.factor, Some((k, _)) if *k == key);
-    let reuse = ctx.factor.take().map(|(_, f)| f);
+    let mut factor = ctx.factor.take().map(|(_, f)| f).unwrap_or_default();
     ctx.stale_iters = 0;
     let (_, sys) = ctx.sys.as_ref().expect("system prepared");
     // Numeric-chaos hook: a forced pivot breakdown takes the same
@@ -1058,10 +1049,9 @@ fn refactor_solve(
     let factored = if chaos.is_some_and(|c| c.fire(NumericSite::Pivot)) {
         Err(SingularMatrixError { row: 0 })
     } else {
-        sys.factor(&mut ctx.ws, reuse)
+        factor.refactor(sys, &mut ctx.ws)
     };
-    let mut factor =
-        factored.map_err(|err| (NumericalHazard::NearSingularPivot, AnalysisError::from(err)))?;
+    factored.map_err(|err| (NumericalHazard::NearSingularPivot, AnalysisError::from(err)))?;
     if let Some(l) = lap.as_deref_mut() {
         l.lap(if same_key {
             Phase::Refactor
@@ -1072,7 +1062,7 @@ fn refactor_solve(
     // Numeric-chaos hook: corrupting a pivot hands the acceptance gate
     // a realistically-wrong factorisation.
     if chaos.is_some_and(|c| c.fire(NumericSite::Perturb)) {
-        factor.chaos_perturb_pivot(1.5);
+        factor.perturb_first_pivot(1.5);
     }
     // Advisory hazards on fresh factorisations: flagged for diagnosis,
     // never retried on — the acceptance gates and Newton's own
@@ -1084,7 +1074,7 @@ fn refactor_solve(
     if !same_key && factor.condest(sys.norm_one()) > COND_LIMIT {
         note_hazard(settings, NumericalHazard::IllConditioned, "advisory", time);
     }
-    factor.solve_into(&ctx.b, &mut ctx.x_new);
+    solve_into(&factor, &ctx.b, &mut ctx.x_new);
     if let Some(l) = lap {
         l.lap(Phase::BackSubstitute);
     }
@@ -1112,7 +1102,7 @@ fn refactor_solve(
 /// was, a refinement stall otherwise.
 fn gated_solve(
     ctx: &mut SolverContext,
-    factor: &LinearFactor,
+    factor: &SparseLu,
     settings: &SolveSettings,
 ) -> Result<(), NumericalHazard> {
     let (_, sys) = ctx.sys.as_ref().expect("system prepared");
@@ -1130,7 +1120,7 @@ fn gated_solve(
         &mut ctx.scratch,
         &mut ctx.trial,
         |xv, out| sys.residual_into(xv, b, out),
-        |r, out| factor.solve_into(r, out),
+        |r, out| solve_into(factor, r, out),
     );
     if out.residual_after <= RESID_GATE_TOL * scale {
         Ok(())

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use crate::error::{AnalysisError, BudgetKind};
 use crate::flight::FlightRecorder;
-use crate::solver::{Backend, WarmStart};
+use crate::solver::WarmStart;
 use crate::metrics::SolverMetrics;
 use obs::profile::PhaseProfiler;
 
@@ -311,9 +311,6 @@ pub struct SolveSettings {
     /// and timestep control are attributed per-phase on it. `None`
     /// (the default) keeps the hot path free of clock reads.
     pub profile: Option<Arc<PhaseProfiler>>,
-    /// Linear-algebra backend for the Newton solves (sparse by
-    /// default; both backends produce bit-identical solutions).
-    pub backend: Backend,
     /// Golden operating point used to seed DC solves. `None` (the
     /// default) cold-starts.
     pub warm_start: Option<Arc<WarmStart>>,
@@ -336,13 +333,6 @@ impl SolveSettings {
         self.profile = Some(profile);
         self
     }
-
-    /// `self` with an explicit linear-algebra [`Backend`] (builder
-    /// style).
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
 }
 
 impl Default for SolveSettings {
@@ -356,7 +346,6 @@ impl Default for SolveSettings {
             flight: None,
             cancel: None,
             profile: None,
-            backend: Backend::default(),
             warm_start: None,
             numeric_chaos: None,
         }

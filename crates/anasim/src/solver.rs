@@ -1,79 +1,41 @@
-//! The linear-solver core under the Newton iteration: backend
-//! selection, symbolic-structure and factorisation caching, and golden
-//! warm-starts.
+//! The linear-solver core under the Newton iteration: symbolic-structure
+//! and factorisation caching, and golden warm-starts.
 //!
 //! The Newton hot loop in [`crate::mna`] solves one linearised MNA
 //! system per iteration. Historically that meant one dense LU
 //! factorisation per iteration; this module supplies the machinery that
 //! makes the linear algebra cheap and *reusable*:
 //!
-//! * [`Backend`] — dense ([`linsys::matrix::Lu`]) or sparse
-//!   ([`linsys::sparse::SparseLu`]) linear algebra. Both produce
-//!   bit-identical solutions (the sparse factorisation replicates the
-//!   dense pivot order and arithmetic, and [`LinearFactor::solve_into`]
-//!   normalises zero signs on both), so canonical campaign reports do
-//!   not depend on the backend.
 //! * [`SolverContext`] — per-analysis mutable state that persists
-//!   across Newton iterations *and* timesteps: the assembled system
-//!   workspace, the sparse symbolic structure (computed once per
-//!   (netlist, companion-mode) and reused), and the cached
-//!   factorisation keyed by [`FactorKey`]. The Newton loop consults the
-//!   cache to skip refactorisation while the iterate is contracting
-//!   ("modified Newton") and to solve linear systems with a single
-//!   back-substitution per step.
+//!   across Newton iterations *and* timesteps: the assembled
+//!   [`SparseMatrix`] workspace, the sparse symbolic structure
+//!   (computed once per (netlist, companion-mode) and reused), and the
+//!   cached [`SparseLu`] factorisation keyed by [`FactorKey`]. The
+//!   Newton loop consults the cache to skip refactorisation while the
+//!   iterate is contracting ("modified Newton") and to solve linear
+//!   systems with a single back-substitution per step. The sparse
+//!   kernel replays the pivot order and arithmetic of
+//!   [`linsys::matrix::Lu`] bit for bit; `linsys`'s property tests pin
+//!   that.
 //! * [`WarmStart`] — a golden operating point mapped onto a faulty
 //!   netlist's unknown layout, so fault extractions seed DC from the
 //!   golden solution instead of re-running the homotopy chain.
 //!
 //! The reuse *policy* (when to trust a stale factorisation, when to
 //! force a refactorisation) lives in [`crate::mna`]; everything here is
-//! deliberately deterministic and backend-symmetric so the policy makes
-//! identical decisions under either backend.
+//! deliberately deterministic so the policy makes identical decisions
+//! on every run.
 
 use std::sync::Arc;
 
-use linsys::matrix::{Lu, Matrix};
+use linsys::matrix::Matrix;
 use linsys::sparse::{SparseLu, SparseMatrix, SparseStructure, SparseWorkspace};
-use linsys::SingularMatrixError;
 
 use crate::mna::MnaLayout;
 
-/// Which linear-algebra backend the Newton loop assembles and factors
-/// with.
-///
-/// The two backends produce bit-identical solutions; sparse is the
-/// default because MNA systems are sparse and the symbolic analysis is
-/// computed once per structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// Dense row-major matrices with per-factorisation `O(n³)` LU.
-    Dense,
-    /// CSC matrices with structure-reusing Gilbert–Peierls LU.
-    #[default]
-    Sparse,
-}
-
-impl Backend {
-    /// Parses `"dense"` / `"sparse"` (CLI flag format).
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s {
-            "dense" => Some(Backend::Dense),
-            "sparse" => Some(Backend::Sparse),
-            _ => None,
-        }
-    }
-
-    /// The CLI/report label: `"dense"` or `"sparse"`.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Backend::Dense => "dense",
-            Backend::Sparse => "sparse",
-        }
-    }
-}
-
-/// Anything device stamps can be assembled into: the dense and sparse
-/// system matrices, plus the structure probe that records positions.
+/// Anything device stamps can be assembled into: the sparse system
+/// matrix, the dense matrix AC analysis stamps `G` into, and the
+/// structure probe that records positions.
 pub trait MnaMatrix {
     /// Adds `value` at `(r, c)`.
     fn add(&mut self, r: usize, c: usize, value: f64);
@@ -139,184 +101,14 @@ impl MnaMatrix for PositionProbe {
     }
 }
 
-/// The assembled MNA system under one backend.
-#[derive(Debug, Clone)]
-pub enum SystemMatrix {
-    /// Dense `n × n` workspace.
-    Dense(Matrix),
-    /// Sparse values over a shared [`SparseStructure`].
-    Sparse(SparseMatrix),
-}
-
-impl SystemMatrix {
-    /// Matrix dimension.
-    pub fn n(&self) -> usize {
-        match self {
-            SystemMatrix::Dense(m) => m.rows(),
-            SystemMatrix::Sparse(m) => m.n(),
-        }
-    }
-
-    /// Zeroes the stored values, keeping structure and allocation.
-    pub fn clear(&mut self) {
-        match self {
-            SystemMatrix::Dense(m) => m.clear(),
-            SystemMatrix::Sparse(m) => m.clear(),
-        }
-    }
-
-    /// Residual `A·x − b` into `out` in one pass: each row accumulates
-    /// its product in ascending column order — the same order under
-    /// both backends, so results agree bit for bit on every nonzero —
-    /// then subtracts `b[r]`.
-    pub fn residual_into(&self, x: &[f64], b: &[f64], out: &mut [f64]) {
-        match self {
-            SystemMatrix::Dense(m) => m.residual_into(x, b, out),
-            SystemMatrix::Sparse(m) => m.residual_into(x, b, out),
-        }
-    }
-
-    /// Residual `A·x − b` into `out` plus the componentwise gate scale
-    /// `max_r(Σ_c |a_rc·x_c| + |b_r|)`, in one pass; returns
-    /// `(residual_norm, scale)`. The acceptance gates for reused
-    /// factorisations compare the residual against `scale`, never
-    /// against an absolute number, so uniformly graded systems gate the
-    /// same as O(1) ones.
-    pub fn residual_gate_into(&self, x: &[f64], b: &[f64], out: &mut [f64]) -> (f64, f64) {
-        match self {
-            SystemMatrix::Dense(m) => m.residual_gate_into(x, b, out),
-            SystemMatrix::Sparse(m) => m.residual_gate_into(x, b, out),
-        }
-    }
-
-    /// 1-norm of the assembled matrix (bit-identical across backends),
-    /// the scale fed to [`LinearFactor::condest`].
-    pub fn norm_one(&self) -> f64 {
-        match self {
-            SystemMatrix::Dense(m) => m.norm_one(),
-            SystemMatrix::Sparse(m) => m.norm_one(),
-        }
-    }
-
-    /// Snapshot of the backing values (dense storage or CSC slots).
-    pub fn values(&self) -> &[f64] {
-        match self {
-            SystemMatrix::Dense(m) => m.values(),
-            SystemMatrix::Sparse(m) => m.values(),
-        }
-    }
-
-    /// Restores a snapshot taken with [`SystemMatrix::values`] — the
-    /// linear-baseline fast path that replaces re-stamping every linear
-    /// device on every Newton iteration with one `memcpy`.
-    pub fn load_values(&mut self, values: &[f64]) {
-        match self {
-            SystemMatrix::Dense(m) => m.load_values(values),
-            SystemMatrix::Sparse(m) => m.load_values(values),
-        }
-    }
-
-    /// Factorises the assembled system, recycling `reuse`'s
-    /// allocations when the backends match.
-    ///
-    /// # Errors
-    ///
-    /// [`SingularMatrixError`] from either backend (identical pivot
-    /// threshold and breakdown row).
-    pub fn factor(
-        &self,
-        ws: &mut SparseWorkspace,
-        reuse: Option<LinearFactor>,
-    ) -> Result<LinearFactor, SingularMatrixError> {
-        match self {
-            SystemMatrix::Dense(m) => Ok(LinearFactor::Dense(Lu::factor(m)?)),
-            SystemMatrix::Sparse(m) => {
-                let mut slu = match reuse {
-                    Some(LinearFactor::Sparse(s)) => s,
-                    _ => SparseLu::default(),
-                };
-                slu.refactor(m, ws)?;
-                Ok(LinearFactor::Sparse(slu))
-            }
-        }
-    }
-}
-
-impl MnaMatrix for SystemMatrix {
-    #[inline]
-    fn add(&mut self, r: usize, c: usize, value: f64) {
-        match self {
-            SystemMatrix::Dense(m) => m.add(r, c, value),
-            SystemMatrix::Sparse(m) => m.add(r, c, value),
-        }
-    }
-    fn clear(&mut self) {
-        SystemMatrix::clear(self);
-    }
-}
-
-/// A cached factorisation from either backend.
-///
-/// The variants differ in size (a `SparseLu` carries its pattern and
-/// condest workspaces), but a solver context holds only one (its live
-/// cache slot), so boxing the large variant would buy nothing and cost
-/// an indirection on the back-substitution hot path.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum LinearFactor {
-    /// Dense LU.
-    Dense(Lu),
-    /// Sparse LU over a reusable pattern.
-    Sparse(SparseLu),
-}
-
-impl LinearFactor {
-    /// Solves `A·x = b` into `x` and normalises zero signs (`-0.0` →
-    /// `+0.0`).
-    ///
-    /// The two factorisations agree bit for bit on every nonzero but
-    /// may differ in the *sign* of exact zeros (the sparse code skips
-    /// arithmetic on entries outside the pattern, and `-0.0 - (-0.0)`
-    /// is `+0.0`). Normalising here makes the full solution vector —
-    /// and therefore every downstream waveform and canonical report —
-    /// bytewise identical across backends.
-    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) {
-        match self {
-            LinearFactor::Dense(lu) => lu.solve_into(b, x),
-            LinearFactor::Sparse(slu) => slu.solve_into(b, x),
-        }
-        for v in x.iter_mut() {
-            *v += 0.0;
-        }
-    }
-
-    /// Element-growth factor observed while this factorisation was
-    /// computed (bit-identical across backends).
-    pub fn pivot_growth(&self) -> f64 {
-        match self {
-            LinearFactor::Dense(lu) => lu.pivot_growth(),
-            LinearFactor::Sparse(slu) => slu.pivot_growth(),
-        }
-    }
-
-    /// Hager 1-norm condition estimate `anorm · ||A⁻¹||₁` against this
-    /// factorisation (bit-identical across backends).
-    pub fn condest(&self, anorm: f64) -> f64 {
-        match self {
-            LinearFactor::Dense(lu) => lu.condest(anorm),
-            LinearFactor::Sparse(slu) => slu.condest(anorm),
-        }
-    }
-
-    /// Fault injection only: scales the first pivot, corrupting every
-    /// subsequent solve the same way on both backends. This is how the
-    /// numeric-chaos harness manufactures a factorisation whose solves
-    /// fail the residual gate.
-    pub fn chaos_perturb_pivot(&mut self, scale: f64) {
-        match self {
-            LinearFactor::Dense(lu) => lu.perturb_first_pivot(scale),
-            LinearFactor::Sparse(slu) => slu.perturb_first_pivot(scale),
-        }
+/// Solves `A·x = b` against `factor` into `x` and normalises zero
+/// signs (`-0.0` → `+0.0`), so exact zeros in the solution vector —
+/// and therefore in every downstream waveform and canonical report —
+/// carry one sign regardless of the arithmetic path that produced them.
+pub(crate) fn solve_into(factor: &SparseLu, b: &[f64], x: &mut [f64]) {
+    factor.solve_into(b, x);
+    for v in x.iter_mut() {
+        *v += 0.0;
     }
 }
 
@@ -388,14 +180,13 @@ impl WarmStart {
 /// homotopy stages, or a transient march including its DC start — and
 /// is *not* shared between analyses (each fault extraction owns its
 /// own, which keeps parallel campaigns deterministic).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SolverContext {
-    pub(crate) backend: Backend,
     /// Sparse symbolic structures by companion mode (0 = DC,
     /// 1 = transient); built once per mode via a stamping probe.
     pub(crate) structures: [Option<Arc<SparseStructure>>; 2],
     /// The assembled-system workspace and the mode it was built for.
-    pub(crate) sys: Option<(usize, SystemMatrix)>,
+    pub(crate) sys: Option<(usize, SparseMatrix)>,
     /// Right-hand side workspace.
     pub(crate) b: Vec<f64>,
     /// Newton iterate workspace (`x_new`).
@@ -412,7 +203,7 @@ pub struct SolverContext {
     /// Snapshot of the linear right-hand side.
     pub(crate) baseline_b: Vec<f64>,
     /// The cached factorisation and the key it was computed under.
-    pub(crate) factor: Option<(FactorKey, LinearFactor)>,
+    pub(crate) factor: Option<(FactorKey, SparseLu)>,
     /// Sparse refactorisation scratch.
     pub(crate) ws: SparseWorkspace,
     /// Newton iterations taken on the current factorisation since it
@@ -431,26 +222,6 @@ pub struct SolverContext {
 }
 
 impl SolverContext {
-    /// A fresh context for `backend`.
-    pub fn new(backend: Backend) -> Self {
-        SolverContext {
-            backend,
-            structures: [None, None],
-            sys: None,
-            b: Vec::new(),
-            x_new: Vec::new(),
-            resid: Vec::new(),
-            scratch: Vec::new(),
-            trial: Vec::new(),
-            baseline_a: Vec::new(),
-            baseline_b: Vec::new(),
-            factor: None,
-            ws: SparseWorkspace::default(),
-            stale_iters: 0,
-            distrust: 0,
-        }
-    }
-
     /// Drops the cached factorisation so the next solve refactors —
     /// called after non-convergence so a retry (e.g. at a halved
     /// timestep) starts from a fresh Jacobian.
@@ -460,34 +231,21 @@ impl SolverContext {
     }
 }
 
-impl Default for SolverContext {
-    fn default() -> Self {
-        SolverContext::new(Backend::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn backend_parses_and_labels() {
-        assert_eq!(Backend::parse("dense"), Some(Backend::Dense));
-        assert_eq!(Backend::parse("sparse"), Some(Backend::Sparse));
-        assert_eq!(Backend::parse("fancy"), None);
-        assert_eq!(Backend::Sparse.label(), "sparse");
-        assert_eq!(Backend::default(), Backend::Sparse);
-    }
-
-    #[test]
     fn solve_into_normalises_zero_signs() {
         // A diagonal system whose solution contains -0.0 before
         // normalisation: x = -0.0 / 1.0.
-        let mut m = Matrix::zeros(1, 1);
+        let mut m = SparseMatrix::zeros(SparseStructure::from_positions(1, &[(0, 0)]));
         m.add(0, 0, 1.0);
-        let factor = LinearFactor::Dense(Lu::factor(&m).unwrap());
+        let factor = SparseLu::factor(&m).unwrap();
         let mut x = [f64::NAN];
         factor.solve_into(&[-0.0], &mut x);
+        assert!(x[0].is_sign_negative(), "the raw kernel keeps -0.0");
+        solve_into(&factor, &[-0.0], &mut x);
         assert_eq!(x[0].to_bits(), 0.0_f64.to_bits(), "got {:e}", x[0]);
     }
 

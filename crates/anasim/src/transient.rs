@@ -63,7 +63,7 @@ pub struct TransientAnalysis {
     start: StartCondition,
     newton: NewtonOptions,
     gmin: f64,
-    /// Budget, backend, warm start and observers for every solve of the
+    /// Budget, warm start and observers for every solve of the
     /// run. Its rung has already been applied to the fields above.
     settings: SolveSettings,
 }
@@ -124,9 +124,9 @@ impl TransientAnalysis {
 
     /// Applies a complete [`SolveSettings`]: the escalation-rung scaling
     /// (timestep, integrator, `gmin`), then the settings themselves —
-    /// resource budget, linear-algebra backend, golden warm start and
-    /// observers (metrics, flight recorder, cancellation token, phase
-    /// profiler, numeric chaos) — replacing any applied before.
+    /// resource budget, golden warm start and observers (metrics,
+    /// flight recorder, cancellation token, phase profiler, numeric
+    /// chaos) — replacing any applied before.
     ///
     /// This is how fault campaigns retry a failed extraction with a more
     /// conservative configuration without rebuilding the analysis by
@@ -179,7 +179,7 @@ impl TransientAnalysis {
         // One solver context serves the DC start and the whole march:
         // the sparse symbolic analysis, baseline stamps and LU factors
         // it accumulates are reused across every timestep.
-        let mut ctx = SolverContext::new(settings.backend);
+        let mut ctx = SolverContext::default();
 
         // --- Initial condition ------------------------------------------
         let mut x = match self.start {

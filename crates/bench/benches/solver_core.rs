@@ -1,10 +1,10 @@
-//! Solver-core bench: dense vs sparse LU factor+solve on MNA-style
+//! Solver-core bench: `linsys` LU factor+solve kernels on MNA-style
 //! conductance matrices across the circuit sizes the test macros
 //! actually produce (8) up to the scale where dense O(n³) becomes
-//! untenable (512). The sparse core replays the dense pivot order, so
-//! the two backends produce bit-identical solutions — this bench
-//! measures the *cost* gap, and the assertion inside each iteration
-//! keeps the comparison honest.
+//! untenable (512). The sparse kernel the Newton loop runs replays the
+//! pivot order of the dense reference `Lu`, so the two produce
+//! bit-identical solutions — this bench measures the *cost* gap, and a
+//! cross-check per size keeps the comparison honest.
 
 use std::sync::Arc;
 
@@ -91,7 +91,7 @@ fn bench(c: &mut Criterion) {
         let dense = fixture.dense();
         let sparse = fixture.sparse();
 
-        // Cross-check once per size: the backends must agree bit for
+        // Cross-check once per size: the kernels must agree bit for
         // bit, or the speed comparison is comparing different answers.
         let xd = Lu::factor(&dense).expect("dominant").solve(&fixture.rhs);
         let xs = SparseLu::factor(&sparse)
@@ -99,7 +99,7 @@ fn bench(c: &mut Criterion) {
             .solve(&fixture.rhs);
         assert!(
             xd.iter().zip(&xs).all(|(d, s)| d.to_bits() == s.to_bits()),
-            "backends disagree at n={n}"
+            "kernels disagree at n={n}"
         );
 
         let name = format!("solver_core_n{n}");

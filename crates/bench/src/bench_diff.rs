@@ -10,7 +10,10 @@
 //!   its load, so the tolerance is percentage-based *plus* an absolute
 //!   slack floor — a 0.2 ms experiment doubling is noise, a 2 s one
 //!   doubling is not. `--counts-only` disables timing comparisons
-//!   entirely for cross-machine gates (committed snapshot vs CI).
+//!   entirely for cross-machine gates (committed snapshot vs CI). An
+//!   experiment whose two runs used different worker counts has its
+//!   timing skipped too, with a note naming both counts: wall time and
+//!   summed per-thread phase time both move with the worker count.
 //! * **Counts** (`newton_iterations`, per-phase `calls`) are
 //!   deterministic for a given build, so their tolerance is tight: a
 //!   count regression means the solver is doing more work, not that the
@@ -83,6 +86,7 @@ impl Default for Tolerances {
 #[derive(Debug, Clone, Default)]
 struct Entry {
     wall_ms: f64,
+    workers: f64,
     newton: f64,
     hits: f64,
     misses: f64,
@@ -144,6 +148,7 @@ fn entries_of(which: &str, text: &str) -> Result<BTreeMap<String, Entry>, String
             name,
             Entry {
                 wall_ms: num("wall_ms"),
+                workers: num("workers"),
                 newton: num("newton_iterations"),
                 hits: num("factor_reuse_hits"),
                 misses: num("factor_reuse_misses"),
@@ -198,6 +203,13 @@ pub fn diff(old_text: &str, new_text: &str, tol: &Tolerances) -> Result<Comparis
 
     for (name, o) in &old {
         let Some(n) = new.get(name) else { continue };
+        let timed = !tol.counts_only && o.workers == n.workers;
+        if !tol.counts_only && !timed {
+            cmp.notes.push(format!(
+                "{name}: wall_ms and phase times not compared (workers differ: OLD {}, NEW {})",
+                o.workers, n.workers
+            ));
+        }
         let mut row = |metric: &str, old_v: String, new_v: String, regressed: bool, why: String| {
             let verdict = if regressed { "REGRESSION" } else { "ok" };
             cmp.rows.push([
@@ -217,7 +229,7 @@ pub fn diff(old_text: &str, new_text: &str, tol: &Tolerances) -> Result<Comparis
             }
         };
 
-        if !tol.counts_only {
+        if timed {
             row(
                 "wall_ms",
                 format!("{:.3}", o.wall_ms),
@@ -276,7 +288,7 @@ pub fn diff(old_text: &str, new_text: &str, tol: &Tolerances) -> Result<Comparis
             let Some(&(n_ns, n_calls)) = new_phases.get(label.as_str()) else {
                 continue;
             };
-            if !tol.counts_only {
+            if timed {
                 let o_ms = o_ns / 1e6;
                 let n_ms = n_ns / 1e6;
                 if n_ms > timing_limit(o_ms) {
@@ -395,6 +407,35 @@ mod tests {
         let cmp = diff(&old, &slow, &tol).unwrap();
         assert!(!cmp.regressed(), "{:?}", cmp.regressions);
         assert!(render(&cmp).contains("counts-only"));
+    }
+
+    #[test]
+    fn different_worker_counts_skip_timing_but_gate_counts() {
+        let old = doc(&[entry("e6", 400.0, 10_000, 9_000, 1_000)]);
+        let mut two = entry("e6", 800.0, 10_000, 9_000, 1_000);
+        two.workers = 2;
+        two.phases.ns[Phase::Factor as usize] *= 2;
+        let cmp = diff(&old, &doc(&[two.clone()]), &Tolerances::default()).unwrap();
+        assert!(!cmp.regressed(), "{:?}", cmp.regressions);
+        assert!(
+            cmp.notes
+                .iter()
+                .any(|n| n.contains("e6") && n.contains("workers differ: OLD 1, NEW 2")),
+            "{:?}",
+            cmp.notes
+        );
+        assert!(!cmp.rows.iter().any(|r| r[1] == "wall_ms"), "{:?}", cmp.rows);
+        // Counts still gate across the worker-count change.
+        two.newton_iterations = 12_000;
+        two.phases.calls[Phase::Factor as usize] *= 2;
+        let cmp = diff(&old, &doc(&[two]), &Tolerances::default()).unwrap();
+        for metric in ["newton_iterations", "phases.lu_factor.calls"] {
+            assert!(
+                cmp.regressions.iter().any(|r| r.contains(metric)),
+                "{metric}: {:?}",
+                cmp.regressions
+            );
+        }
     }
 
     #[test]

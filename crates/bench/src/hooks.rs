@@ -6,7 +6,7 @@
 //! changes how a campaign runs or watches it while it runs: the
 //! `--journal` / `--resume` checkpoint file (with any `--chaos` plan and
 //! `--degrade` policy), the SIGINT [`CancelToken`](anasim::robust::CancelToken),
-//! `--telemetry`, `--numeric-chaos`, `--backend` and phase profiling.
+//! `--telemetry`, `--numeric-chaos` and phase profiling.
 //! Every experiment campaign is a clone of it
 //! ([`CampaignHooks::campaign`]) with its own threshold and journal
 //! label (`e6.c1.correlation`, `e6.c2.idd`, `diverge`, ...), so a single
@@ -73,7 +73,7 @@ impl CampaignHooks {
     /// the invocation-wide profiler so that solver time is attributed
     /// too instead of silently widening the unattributed gap.
     pub fn solve_settings(&self) -> SolveSettings {
-        let mut settings = SolveSettings::default().backend(self.config.backend);
+        let mut settings = SolveSettings::default();
         if let Some(profile) = &self.profile {
             settings = settings.profile(Arc::clone(profile));
         }
@@ -100,7 +100,6 @@ impl CampaignHooks {
 mod tests {
     use super::*;
     use anasim::robust::CancelToken;
-    use anasim::solver::Backend;
     use faultsim::campaign::{DegradePolicy, JournalConfig};
     use faultsim::telemetry::TelemetryConfig;
     use obs::chaos::{FaultPlan, NumericChaosPlan};
@@ -123,7 +122,6 @@ mod tests {
             .cancel(CancelToken::new())
             .telemetry(TelemetryConfig::new("/tmp/tele"))
             .numeric_chaos(NumericChaosPlan::parse("pivot@0,nan@2").unwrap())
-            .backend(Backend::Dense)
             .profile(true);
         let config = hooks.campaign("e6.c2.idd", 0.25);
         assert_eq!(config.threshold, 0.25);
@@ -142,24 +140,20 @@ mod tests {
             config.numeric_chaos,
             NumericChaosPlan::parse("pivot@0,nan@2").ok()
         );
-        assert_eq!(config.backend, Backend::Dense);
         assert!(config.profile);
         // The armed config itself keeps its placeholder label.
         assert_eq!(hooks.config.journal.unwrap().label, "");
     }
 
     #[test]
-    fn solve_settings_carry_the_backend_and_the_profiler() {
+    fn solve_settings_carry_the_profiler() {
         let settings = CampaignHooks::new(1).solve_settings();
-        assert_eq!(settings.backend, Backend::Sparse);
         assert!(settings.profile.is_none());
 
         let profiler = Arc::new(PhaseProfiler::new());
         let mut hooks = CampaignHooks::new(1);
-        hooks.config = hooks.config.backend(Backend::Dense);
         hooks.profile = Some(Arc::clone(&profiler));
         let settings = hooks.solve_settings();
-        assert_eq!(settings.backend, Backend::Dense);
         assert!(Arc::ptr_eq(settings.profile.as_ref().unwrap(), &profiler));
     }
 }

@@ -21,7 +21,7 @@
 //! Campaign-backed experiments (`e6`, `e6c1`, `ablation`, `diverge`)
 //! take [`hooks::CampaignHooks`]: one `CampaignConfig` the `experiments`
 //! binary arms once (the `--journal`/`--resume` checkpoint file, the
-//! SIGINT cancellation token, `--telemetry DIR`, `--backend`, ...) and
+//! SIGINT cancellation token, `--telemetry DIR`, ...) and
 //! every campaign clones under its own label, plus the profiler and
 //! trace that outlive the campaigns. Journaled runs are kill-safe and
 //! resumable; telemetry arms live heartbeat/status sidecars that

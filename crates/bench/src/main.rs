@@ -5,8 +5,7 @@
 //!
 //! ```text
 //! experiments [profile] [e1|e2|e3|e4|e5|e6|e6c1|e7|e8|ablation|diverge|all]
-//!             [--workers N] [--backend dense|sparse]
-//!             [--metrics-json PATH] [--canonical-metrics]
+//!             [--workers N] [--metrics-json PATH] [--canonical-metrics]
 //!             [--bench-json PATH] [--trace-json PATH]
 //!             [--journal PATH | --resume PATH]
 //!             [--chaos SPEC] [--numeric-chaos SPEC]
@@ -29,9 +28,7 @@
 //! experiment's wall-clock, Newton-iteration totals, factorisation
 //! reuse counters and solver-phase cost breakdown (the committed
 //! `BENCH_solver.json` snapshot); writing it arms the phase profiler
-//! for the whole run. `--backend` selects the linear-solver core
-//! (sparse by default); both backends produce bit-identical solutions,
-//! so canonical metrics do not depend on the choice.
+//! for the whole run.
 //!
 //! The `profile` subcommand runs the selected experiments with the
 //! phase profiler armed and prints a cost-attribution table: per-phase
@@ -106,7 +103,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use anasim::robust::CancelToken;
-use anasim::solver::Backend;
 use anasim::AnalysisError;
 use faultsim::campaign::{CampaignConfig, DegradePolicy, JournalConfig};
 use faultsim::telemetry::TelemetryConfig;
@@ -184,7 +180,6 @@ fn main() -> ExitCode {
     let mut degrade: Option<DegradePolicy> = None;
     let mut telemetry: Option<String> = None;
     let mut workers = experiments::e6::E6_WORKERS;
-    let mut backend = Backend::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -244,10 +239,6 @@ fn main() -> ExitCode {
                 Some(w) if w >= 1 => workers = w,
                 _ => return usage_error("--workers needs a positive integer"),
             },
-            "--backend" => match it.next().and_then(|b| Backend::parse(b)) {
-                Some(b) => backend = b,
-                None => return usage_error("--backend needs 'dense' or 'sparse'"),
-            },
             tag if !tag.starts_with('-') && which.is_none() => which = Some(tag.to_owned()),
             other => return usage_error(&format!("unknown argument '{other}'")),
         }
@@ -269,8 +260,7 @@ fn main() -> ExitCode {
     // is a clone of it with its own threshold and journal label.
     let mut config = CampaignConfig::new(0.0)
         .workers(workers)
-        .degrade(degrade.unwrap_or_default())
-        .backend(backend);
+        .degrade(degrade.unwrap_or_default());
     // --journal starts a fresh checkpoint stream (the engine itself
     // only ever appends, so the CLI truncates here, once); --resume
     // keeps the file and replays it. Both arm SIGINT cancellation.
@@ -609,8 +599,8 @@ fn render_profile_table(snapshot: &PhaseSnapshot, entries: &[BenchEntry]) -> Str
 fn usage_error(message: &str) -> ExitCode {
     eprintln!(
         "{message}\nusage: experiments [profile] [e1..e8|e6c1|ablation|diverge|all] \
-         [--workers N] [--backend dense|sparse] [--metrics-json PATH] \
-         [--canonical-metrics] [--bench-json PATH]\n\
+         [--workers N] [--metrics-json PATH] [--canonical-metrics] \
+         [--bench-json PATH]\n\
          \x20      [--trace-json PATH] [--journal PATH | --resume PATH] [--chaos SPEC] \
          [--numeric-chaos SPEC] [--degrade abort|continue] [--telemetry DIR]\n\
          \x20      experiments check-report PATH\n\

@@ -39,7 +39,7 @@ use anasim::metrics::{SolverMetrics, SolverSnapshot};
 use anasim::mna::MnaLayout;
 use anasim::netlist::Netlist;
 use anasim::robust::{escalation_ladder, CancelToken, SolveBudget, SolveSettings, SolverRung};
-use anasim::solver::{Backend, WarmStart};
+use anasim::solver::WarmStart;
 use anasim::AnalysisError;
 use obs::chaos::FaultPlan;
 use obs::journal::{JournalOptions, JournalWriter, RetryPolicy};
@@ -417,11 +417,6 @@ pub struct CampaignConfig {
     /// byte-stability; the cost is a few monotonic-clock reads per
     /// Newton iteration. Disarmed (the default), no clocks are read.
     pub profile: bool,
-    /// Linear-solver backend used for the golden extraction and every
-    /// fault (default: sparse). Dense and sparse runs produce
-    /// bit-identical solutions, so this only changes speed, never
-    /// canonical report bytes.
-    pub backend: Backend,
     /// Live telemetry: per-worker heartbeat records and periodically
     /// rewritten `mixsig.campaign-status/1` snapshots in the configured
     /// directory ([`TelemetryConfig`]), tailed by `experiments watch`.
@@ -459,7 +454,6 @@ impl CampaignConfig {
             cancel: None,
             degrade: DegradePolicy::default(),
             profile: false,
-            backend: Backend::default(),
             telemetry: None,
             numeric_chaos: None,
         }
@@ -532,13 +526,6 @@ impl CampaignConfig {
     /// [`CampaignConfig::profile`].
     pub fn profile(mut self, armed: bool) -> Self {
         self.profile = armed;
-        self
-    }
-
-    /// Selects the linear-solver backend; see
-    /// [`CampaignConfig::backend`].
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -944,7 +931,6 @@ where
     let base_settings = SolveSettings {
         budget: config.budget,
         cancel: config.cancel.clone(),
-        backend: config.backend,
         ..SolveSettings::default()
     };
     let golden_settings = SolveSettings {
@@ -2374,46 +2360,6 @@ mod tests {
             report.outcomes[idx].status,
             FaultStatus::Detected { .. }
         ));
-    }
-
-    #[test]
-    fn dense_and_sparse_backends_produce_identical_reports() {
-        use anasim::solver::Backend;
-        // The sparse LU replicates the dense pivoting and arithmetic,
-        // so campaign reports — canonical text *and* canonical JSON —
-        // must be byte-identical across backends.
-        let (nl, faults) = rc_fixture();
-        let run = |backend: Backend| {
-            run_campaign_with(
-                &nl,
-                &faults,
-                &CampaignConfig::new(0.05).backend(backend),
-                transient_extract,
-            )
-            .unwrap()
-        };
-        let sparse = run(Backend::Sparse);
-        let dense = run(Backend::Dense);
-        assert_eq!(sparse.canonical_text(), dense.canonical_text());
-        let canonical_json = |report: &CampaignReport| {
-            let mut run = obs::RunReport::new();
-            run.push(report.to_section("campaign.backend"));
-            run.canonical_json_string()
-        };
-        assert_eq!(canonical_json(&sparse), canonical_json(&dense));
-        // And the solutions themselves, not just the rendered reports:
-        // every signature sample is bit-identical.
-        for (s, d) in sparse.outcomes.iter().zip(&dense.outcomes) {
-            match (&s.signature, &d.signature) {
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.len(), b.len());
-                    for (va, vb) in a.iter().zip(b) {
-                        assert_eq!(va.to_bits(), vb.to_bits(), "{va} vs {vb}");
-                    }
-                }
-                (a, b) => assert_eq!(a.is_some(), b.is_some()),
-            }
-        }
     }
 
     #[test]

@@ -11,12 +11,12 @@
 //!
 //! The estimate feeds solver hazard counters that land in canonical
 //! (byte-compared) reports, so it must be bit-identical between the
-//! dense and sparse backends. Every choice here is made with that in
-//! mind:
+//! dense reference LU and the sparse kernel the solver runs. Every
+//! choice here is made with that in mind:
 //!
 //! * the sign vector uses `>= 0.0`, which treats `-0.0` and `+0.0`
 //!   identically (IEEE `-0.0 == 0.0`), so zero-sign differences between
-//!   backends cannot flip a sign;
+//!   the factorisations cannot flip a sign;
 //! * the argmax scan keeps the *first* strictly-greater index, the same
 //!   tie-break the pivot scans use;
 //! * accumulations run in ascending index order on both sides.
@@ -24,7 +24,7 @@
 //! Combined with solve/transpose-solve kernels that are bit-identical
 //! for nonzero values (zeros may differ only in sign, and only their
 //! magnitudes are consumed here), the returned estimate is
-//! bit-identical across backends.
+//! bit-identical across the two factorisations.
 
 /// Estimates `anorm · ||A⁻¹||₁` (an estimate of the 1-norm condition
 /// number) given closures that solve `A·y = x` and `Aᵀ·y = x` against a

@@ -211,21 +211,6 @@ impl Matrix {
         m
     }
 
-    /// The backing storage in row-major order.
-    pub fn values(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Overwrites the backing storage from a snapshot taken with
-    /// [`Matrix::values`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` has the wrong length.
-    pub fn load_values(&mut self, values: &[f64]) {
-        self.data.copy_from_slice(values);
-    }
-
     /// Matrix product `self * other`.
     ///
     /// # Panics

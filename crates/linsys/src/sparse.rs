@@ -23,10 +23,11 @@
 //!
 //! # Bit-compatibility with the dense factorisation
 //!
-//! The solver promises canonical reports that are byte-identical
-//! between its dense and sparse backends, which requires the two
-//! factorisations to produce bit-identical *nonzero* values (zeros are
-//! normalised at the solve boundary by the caller):
+//! The dense [`crate::matrix::Lu`] is the reference this kernel is
+//! property-tested against (`tests/properties.rs`): the two
+//! factorisations produce bit-identical *nonzero* values (zeros may
+//! differ in sign; the circuit solver normalises them at the solve
+//! boundary):
 //!
 //! * **Pivoting** — the dense code scans physical rows `col..n` in
 //!   current order, keeps the strictly-greater maximum of `|value|`,

@@ -252,6 +252,27 @@ impl MnaStamp {
         self.stamp(|r, c, v| m.add(r, c, v));
         m
     }
+
+    /// [`MnaStamp::stamp`] with the equations reordered, row `r` moved
+    /// to `(r + shift) mod n`: the same system, but partial pivoting
+    /// now has to swap rows to reach each dominant diagonal.
+    fn stamp_rows_rotated(&self, shift: usize, mut add: impl FnMut(usize, usize, f64)) {
+        let n = self.n;
+        self.stamp(|r, c, v| add((r + shift) % n, c, v));
+    }
+
+    /// The same stamp pattern with every conductance rescaled by
+    /// `factors` (cycled): what a later Newton iteration assembles into
+    /// the structure an earlier one built.
+    fn revalued(&self, factors: &[f64]) -> MnaStamp {
+        let mut f = factors.iter().cycle();
+        let mut next = || *f.next().expect("factors non-empty");
+        MnaStamp {
+            n: self.n,
+            ground: self.ground.iter().map(|g| g * next()).collect(),
+            branches: self.branches.iter().map(|&(a, b, g)| (a, b, g * next())).collect(),
+        }
+    }
 }
 
 proptest! {
@@ -281,14 +302,108 @@ proptest! {
             prop_assert!((want - got).abs() < 1e-7, "{want} vs {got}");
         }
     }
+
+    /// `SparseLu::refactor` on a factor and workspace already used for
+    /// another matrix of the same structure — the path the Newton loop
+    /// takes on every refactorisation — matches a fresh dense `Lu` of
+    /// the new values bit for bit: solution, pivot growth and condition
+    /// estimate. The two matrices order their equations differently, so
+    /// the first factorisation leaves a row permutation behind that the
+    /// second must not inherit.
+    #[test]
+    fn sparse_refactor_of_a_used_factor_matches_fresh_dense_lu(
+        stamp in mna_stamp(7),
+        factors in proptest::collection::vec(0.1..10.0f64, 1..8),
+        shifts in (0..7usize, 0..7usize),
+        b in proptest::collection::vec(-100.0..100.0f64, 7),
+    ) {
+        use linsys::matrix::Lu;
+        use linsys::sparse::{SparseLu, SparseMatrix, SparseStructure, SparseWorkspace};
+
+        let (first_shift, next_shift) = shifts;
+        let next = stamp.revalued(&factors);
+        // One structure covering both equation orders, as a Newton
+        // context builds once and refactors into many times.
+        let mut positions = Vec::new();
+        for shift in [first_shift, next_shift] {
+            stamp.stamp_rows_rotated(shift, |r, c, _| positions.push((r, c)));
+        }
+        let structure = SparseStructure::from_positions(stamp.n, &positions);
+        let mut first = SparseMatrix::zeros(structure.clone());
+        stamp.stamp_rows_rotated(first_shift, |r, c, v| first.add(r, c, v));
+        let mut ws = SparseWorkspace::new(stamp.n);
+        let mut slu = SparseLu::default();
+        slu.refactor(&first, &mut ws).expect("dominant");
+
+        let mut sparse = SparseMatrix::zeros(structure);
+        let mut dense = Matrix::zeros(stamp.n, stamp.n);
+        next.stamp_rows_rotated(next_shift, |r, c, v| {
+            sparse.add(r, c, v);
+            dense.add(r, c, v);
+        });
+        slu.refactor(&sparse, &mut ws).expect("dominant");
+        let dlu = Lu::factor(&dense).expect("dominant");
+
+        for (k, (d, s)) in dlu.solve(&b).iter().zip(&slu.solve(&b)).enumerate() {
+            prop_assert!(d.to_bits() == s.to_bits(), "x[{k}]: dense {d:e} != sparse {s:e}");
+        }
+        prop_assert!(
+            dlu.pivot_growth().to_bits() == slu.pivot_growth().to_bits(),
+            "growth dense {:e} != sparse {:e}",
+            dlu.pivot_growth(),
+            slu.pivot_growth()
+        );
+        let anorm = dense.norm_one();
+        let (cd, cs) = (dlu.condest(anorm), slu.condest(anorm));
+        prop_assert!(cd.to_bits() == cs.to_bits(), "condest dense {cd:e} != sparse {cs:e}");
+    }
+
+    /// The sparse residual, gated residual and 1-norm kernels the
+    /// Newton acceptance gates run match their dense `Matrix` twins bit
+    /// for bit: every output component, the residual norm, the gate
+    /// scale and the norm.
+    #[test]
+    fn sparse_residuals_and_norm_match_dense_bit_for_bit(
+        stamp in mna_stamp(7),
+        x in proptest::collection::vec(-10.0..10.0f64, 7),
+        b in proptest::collection::vec(-100.0..100.0f64, 7),
+    ) {
+        let dense = stamp.dense();
+        let sparse = stamp.sparse();
+        let n = stamp.n;
+        let same = |what: &str, d: &[f64], s: &[f64]| -> Result<(), TestCaseError> {
+            for (k, (dv, sv)) in d.iter().zip(s).enumerate() {
+                prop_assert!(
+                    dv.to_bits() == sv.to_bits(),
+                    "{what}[{k}]: dense {dv:e} != sparse {sv:e}"
+                );
+            }
+            Ok(())
+        };
+
+        let (mut rd, mut rs) = (vec![0.0; n], vec![0.0; n]);
+        dense.residual_into(&x, &b, &mut rd);
+        sparse.residual_into(&x, &b, &mut rs);
+        same("residual", &rd, &rs)?;
+
+        let (mut gd, mut gs) = (vec![0.0; n], vec![0.0; n]);
+        let (dnorm, dscale) = dense.residual_gate_into(&x, &b, &mut gd);
+        let (snorm, sscale) = sparse.residual_gate_into(&x, &b, &mut gs);
+        same("gated residual", &gd, &gs)?;
+        same("(rnorm, scale)", &[dnorm, dscale], &[snorm, sscale])?;
+        // The fused gate pass computes the same residual as the plain one.
+        same("gate vs plain residual", &rd, &gd)?;
+
+        same("norm_one", &[dense.norm_one()], &[sparse.norm_one()])?;
+    }
 }
 
 proptest! {
-    /// The scale-relative pivot threshold classifies identically on the
-    /// dense and sparse backends: graded (uniformly rescaled) systems
-    /// factor on both, rank-deficient ones fail on both with the same
-    /// breakdown row — byte-compared campaign reports depend on the two
-    /// backends never disagreeing about what is singular.
+    /// The scale-relative pivot threshold classifies identically in the
+    /// dense and sparse factorisations: graded (uniformly rescaled)
+    /// systems factor in both, rank-deficient ones fail in both with the
+    /// same breakdown row — the dense reference and the sparse kernel
+    /// never disagree about what is singular.
     #[test]
     fn dense_and_sparse_classify_graded_and_rank_deficient_alike(
         stamp in mna_stamp(6),
@@ -384,7 +499,7 @@ proptest! {
     }
 
     /// Transpose solves and the Hager condition estimate built on them
-    /// are bit-identical between backends (zeros may differ only in
+    /// are bit-identical between factorisations (zeros may differ only in
     /// sign), and the transpose solve actually solves Aᵀx = b.
     #[test]
     fn transpose_solve_and_condest_are_bit_identical_across_backends(
@@ -467,8 +582,8 @@ fn graded_matrix_below_the_old_absolute_floor_still_factors() {
 /// An O(1)-scale matrix whose elimination collapses a column to
 /// rounding noise is *numerically* rank-deficient: the old absolute
 /// floor happily divided by the ~1e-17 leftover and returned garbage;
-/// the scale-relative threshold classifies it as singular on both
-/// backends, at the same column.
+/// the scale-relative threshold classifies it as singular in both
+/// factorisations, at the same column.
 #[test]
 fn cancellation_garbage_is_rejected_as_singular() {
     use linsys::matrix::Lu;
